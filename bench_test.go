@@ -223,27 +223,14 @@ func BenchmarkGenerateDataset(b *testing.B) {
 		}
 		b.ReportMetric(samples, "samples/op")
 	})
-	// The SPECK scenario takes the widest engine path: 256-row windows
-	// through the ×128 bitsliced kernel.
-	sp, err := core.NewSpeckScenario(7)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("speck-sliced", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			core.GenerateDataset(sp, perClass, prng.New(1))
-		}
-		b.ReportMetric(samples, "samples/op")
-	})
-	// The ×64 bitsliced scenarios, each measured twice over identical
-	// output bytes: through the SliceScenario fast path the engine picks
-	// by default, and through the scalar pair path with the sliced
-	// interface hidden behind a wrapper (the pre-bitslice engine).
+	// The keyed sweep scenarios take the one-row-at-a-time SampleBatch
+	// path. The "-pair" names date from when a bitsliced path sat in
+	// front of it; they are kept so the benchmark trajectory continues.
 	for _, tc := range []struct {
 		name string
 		s    core.BatchScenario
 	}{
+		{name: "speck7", s: firstErr(core.NewSpeckScenario(7))},
 		{name: "simon8", s: firstErr(core.NewSimonScenario(8))},
 		{name: "simon-rk10", s: firstErr(core.NewSimonRKScenario(10))},
 		{name: "simeck8", s: firstErr(core.NewSimeckScenario(8))},
@@ -254,26 +241,15 @@ func BenchmarkGenerateDataset(b *testing.B) {
 		if tc.s == nil {
 			b.Fatalf("%s: scenario construction failed", tc.name)
 		}
-		b.Run(tc.name+"-sliced", func(b *testing.B) {
+		b.Run(tc.name+"-pair", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				core.GenerateDataset(tc.s, perClass, prng.New(1))
 			}
 			b.ReportMetric(samples, "samples/op")
 		})
-		b.Run(tc.name+"-pair", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				core.GenerateDataset(pairPathOnly{tc.s}, perClass, prng.New(1))
-			}
-			b.ReportMetric(samples, "samples/op")
-		})
 	}
 }
-
-// pairPathOnly hides every interface of the wrapped scenario except
-// BatchScenario, forcing GenerateDataset onto the scalar pair path.
-type pairPathOnly struct{ core.BatchScenario }
 
 // firstErr collapses a (scenario, error) constructor result to nil on
 // error so table construction stays declarative.

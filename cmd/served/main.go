@@ -86,6 +86,20 @@ func (u *urlFlags) Set(v string) error {
 	return nil
 }
 
+// defaultTimeout is the -timeout default: the serve layer's per-request
+// deadline covering queue wait plus inference.
+const defaultTimeout = 5 * time.Second
+
+// Listener timeouts. Each sits above defaultTimeout, so a request the
+// serve layer would still answer is never cut off by the listener; they
+// only shed clients that stall on headers or body, or idle on a
+// keep-alive connection.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 30 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 // options carries every flag; validateFlags checks the combination up
 // front so a bad invocation dies as a usage error, not mid-run.
 type options struct {
@@ -181,7 +195,7 @@ func main() {
 	flag.DurationVar(&o.maxDelay, "max-delay", 2*time.Millisecond, "max time a non-full batch waits to coalesce")
 	flag.IntVar(&o.workers, "workers", 2, "inference workers, each with its own scratch matrix")
 	flag.IntVar(&o.queue, "queue", 256, "request queue depth; beyond it requests are shed with 429")
-	flag.DurationVar(&o.timeout, "timeout", 5*time.Second, "per-request deadline (queue wait + inference)")
+	flag.DurationVar(&o.timeout, "timeout", defaultTimeout, "per-request deadline (queue wait + inference)")
 	flag.DurationVar(&o.drain, "drain", 10*time.Second, "max time to drain in-flight requests on shutdown")
 	flag.Var(&o.models, "model", "name=path of a distinguisher file (repeatable); more can be loaded later via POST /models")
 	flag.StringVar(&o.ledgerPath, "ledger", "", "append-only audit log of admissions and verdicts (enables /ledger endpoints)")
@@ -288,7 +302,13 @@ func runRouter(o *options) error {
 // shuts down gracefully (bounded by -drain) and lets the mode clean up
 // its backend.
 func listenAndDrain(o *options, handler http.Handler, banner string, cleanup func(context.Context)) error {
-	httpSrv := &http.Server{Addr: o.addr, Handler: handler}
+	httpSrv := &http.Server{
+		Addr:              o.addr,
+		Handler:           handler,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 

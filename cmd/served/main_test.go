@@ -142,3 +142,17 @@ func TestValidateFlags(t *testing.T) {
 		})
 	}
 }
+
+// The listener timeouts must never undercut the serve layer's own
+// per-request deadline.
+func TestListenerTimeoutsAboveRequestTimeout(t *testing.T) {
+	for name, d := range map[string]time.Duration{
+		"ReadHeaderTimeout": readHeaderTimeout,
+		"ReadTimeout":       readTimeout,
+		"IdleTimeout":       idleTimeout,
+	} {
+		if d <= defaultTimeout {
+			t.Errorf("%s %s is not above the %s request timeout", name, d, defaultTimeout)
+		}
+	}
+}

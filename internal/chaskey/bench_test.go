@@ -37,28 +37,4 @@ func BenchmarkChaskeyPermute(b *testing.B) {
 		}
 		_ = sink
 	})
-	// The ×64 sliced kernel amortises rounds across 64 lanes; ns/op here
-	// covers 64 difference pairs, so divide by 64 to compare against the
-	// scalar paths above.
-	var lo, hi [64]uint64
-	for l := 0; l < 64; l++ {
-		s := v
-		s[0] ^= uint32(l) * 0x85ebca6b
-		lo[l], hi[l] = chaskey.PackStateRows(s)
-	}
-	var outLo, outHi [64]uint64
-	b.Run("sliced-x64-3r", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			chaskey.PermuteDiffSliced64(&lo, &hi, chaskey.NDDelta, 3, &outLo, &outHi)
-		}
-		b.ReportMetric(64, "pairs/op")
-	})
-	b.Run("sliced-x64-8r", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			chaskey.PermuteDiffSliced64(&lo, &hi, chaskey.NDDelta, chaskey.Rounds, &outLo, &outHi)
-		}
-		b.ReportMetric(64, "pairs/op")
-	})
 }

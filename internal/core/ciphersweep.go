@@ -137,51 +137,6 @@ func (s *SimonScenario) SampleBatch(r *prng.Rand, class int, dst []uint64) {
 	dst[0] = uint64(d.X) | uint64(d.Y)<<16
 }
 
-// SliceRows returns the bitsliced window: 64 encryption lanes, and at
-// t = 2 every other row is a cheap random sample, so one window is 128
-// rows.
-func (s *SimonScenario) SliceRows() int { return 2 * simon.SlicedLanes }
-
-// SampleSlice fills one 128-row window through the ×64 bitsliced
-// differential kernel. Row j draws from its positional substream
-// exactly as SampleBatch would — class 0 one word, class 1 six 16-bit
-// words — but the draws run through the vectorized batch kernel: each
-// class is one strided prng.DrawWords64Strided call over the window's
-// 64 substreams, and the class-1 draw columns transpose straight into
-// the kernel's bit planes via bits.TransposeTop16Pair (a Uint16 draw is
-// the top 16 bits of its Uint64 output), so no per-row pack or scatter
-// remains. All 64 class-1 encryptions then run in one
-// EncryptCrossDiffPlanes64 call (∇ = 0 degenerates to the single-key
-// kernel inside).
-func (s *SimonScenario) SampleSlice(_ *prng.Rand, base uint64, firstRow int, dst []uint64, y []int) {
-	// Shard windows can start on either parity; class-1 rows sit at
-	// window offsets of the opposite parity to firstRow.
-	off0 := firstRow & 1
-	off1 := 1 - off0
-	var rnd [simon.SlicedLanes]uint64
-	prng.DrawWords64Strided(base, uint64(firstRow+off0), 2, simon.SlicedLanes, 1, rnd[:])
-	for l := 0; l < simon.SlicedLanes; l++ {
-		dst[off0+2*l] = rnd[l] & 0xffffffff
-	}
-	// Class-1 column w holds draw w (k0, k1, k2, k3, X, Y) of every
-	// lane; column pairs become the key plane groups and the pt planes.
-	var cols [6 * simon.SlicedLanes]uint64
-	prng.DrawWords64Strided(base, uint64(firstRow+off1), 2, simon.SlicedLanes, 6, cols[:])
-	var ma [64]uint64
-	var mp [32]uint64
-	bits.TransposeTop16Pair((*[64]uint64)(cols[0:64]), (*[64]uint64)(cols[64:128]), (*[32]uint64)(ma[0:32]))
-	bits.TransposeTop16Pair((*[64]uint64)(cols[128:192]), (*[64]uint64)(cols[192:256]), (*[32]uint64)(ma[32:64]))
-	bits.TransposeTop16Pair((*[64]uint64)(cols[256:320]), (*[64]uint64)(cols[320:384]), &mp)
-	var out [simon.SlicedLanes]uint32
-	simon.EncryptCrossDiffPlanes64(&ma, s.KeyD, &mp, s.Delta, s.Rounds, &out)
-	for l := 0; l < simon.SlicedLanes; l++ {
-		dst[off1+2*l] = uint64(out[l])
-	}
-	for i := range y {
-		y[i] = (firstRow + i) & 1
-	}
-}
-
 // SimeckScenario distinguishes round-reduced SIMECK-32/64 output
 // differences from random, optionally under a related-key difference;
 // it is structured exactly like SimonScenario.
@@ -290,39 +245,6 @@ func (s *SimeckScenario) SampleBatch(r *prng.Rand, class int, dst []uint64) {
 	dst[0] = uint64(d.X) | uint64(d.Y)<<16
 }
 
-// SliceRows returns the bitsliced window: 64 encryption lanes plus
-// their interleaved class-0 rows.
-func (s *SimeckScenario) SliceRows() int { return 2 * simeck.SlicedLanes }
-
-// SampleSlice fills one 128-row window through the ×64 bitsliced
-// differential kernel, with the same batched positional draws as
-// SimonScenario.SampleSlice: one strided draw call per class, columns
-// transposed straight into kernel planes.
-func (s *SimeckScenario) SampleSlice(_ *prng.Rand, base uint64, firstRow int, dst []uint64, y []int) {
-	off0 := firstRow & 1
-	off1 := 1 - off0
-	var rnd [simeck.SlicedLanes]uint64
-	prng.DrawWords64Strided(base, uint64(firstRow+off0), 2, simeck.SlicedLanes, 1, rnd[:])
-	for l := 0; l < simeck.SlicedLanes; l++ {
-		dst[off0+2*l] = rnd[l] & 0xffffffff
-	}
-	var cols [6 * simeck.SlicedLanes]uint64
-	prng.DrawWords64Strided(base, uint64(firstRow+off1), 2, simeck.SlicedLanes, 6, cols[:])
-	var ma [64]uint64
-	var mp [32]uint64
-	bits.TransposeTop16Pair((*[64]uint64)(cols[0:64]), (*[64]uint64)(cols[64:128]), (*[32]uint64)(ma[0:32]))
-	bits.TransposeTop16Pair((*[64]uint64)(cols[128:192]), (*[64]uint64)(cols[192:256]), (*[32]uint64)(ma[32:64]))
-	bits.TransposeTop16Pair((*[64]uint64)(cols[256:320]), (*[64]uint64)(cols[320:384]), &mp)
-	var out [simeck.SlicedLanes]uint32
-	simeck.EncryptCrossDiffPlanes64(&ma, s.KeyD, &mp, s.Delta, s.Rounds, &out)
-	for l := 0; l < simeck.SlicedLanes; l++ {
-		dst[off1+2*l] = uint64(out[l])
-	}
-	for i := range y {
-		y[i] = (firstRow + i) & 1
-	}
-}
-
 // ChaskeyScenario distinguishes the round-reduced Chaskey permutation
 // from random, the same treatment the gimli scenarios give their
 // permutation: class 1 permutes a random state pair differing by Delta
@@ -395,46 +317,10 @@ func (s *ChaskeyScenario) SampleBatch(r *prng.Rand, class int, dst []uint64) {
 	dst[1] = uint64(a[2]^b[2]) | uint64(a[3]^b[3])<<32
 }
 
-// SliceRows returns the bitsliced window: 64 permutation lanes plus
-// their interleaved class-0 rows.
-func (s *ChaskeyScenario) SliceRows() int { return 2 * chaskey.SlicedLanes }
-
-// SampleSlice fills one 128-row window through the ×64 sliced kernel.
-// A Chaskey row is two packed words, so dst is indexed at 2× the row.
-// Draws run through the vectorized batch kernel — one strided call per
-// class — and the raw class-1 draw columns feed the kernel's
-// draw-column entry directly (a Uint32 draw is the top 32 bits of its
-// Uint64 output, and the truncation folds into the kernel's own lane
-// split), which is the layout the AVX2 kernel walks natively.
-func (s *ChaskeyScenario) SampleSlice(_ *prng.Rand, base uint64, firstRow int, dst []uint64, y []int) {
-	off0 := firstRow & 1
-	off1 := 1 - off0
-	var rnd [2 * chaskey.SlicedLanes]uint64
-	prng.DrawWords64Strided(base, uint64(firstRow+off0), 2, chaskey.SlicedLanes, 2, rnd[:])
-	for l := 0; l < chaskey.SlicedLanes; l++ {
-		dst[2*(off0+2*l)] = rnd[l]
-		dst[2*(off0+2*l)+1] = rnd[chaskey.SlicedLanes+l]
-	}
-	var cols [4 * chaskey.SlicedLanes]uint64
-	prng.DrawWords64Strided(base, uint64(firstRow+off1), 2, chaskey.SlicedLanes, 4, cols[:])
-	var outLo, outHi [chaskey.SlicedLanes]uint64
-	chaskey.PermuteDiffDrawCols64(&cols, s.Delta, s.Rounds, &outLo, &outHi)
-	for l := 0; l < chaskey.SlicedLanes; l++ {
-		dst[2*(off1+2*l)] = outLo[l]
-		dst[2*(off1+2*l)+1] = outHi[l]
-	}
-	for i := range y {
-		y[i] = (firstRow + i) & 1
-	}
-}
-
 // Compile-time checks that the sweep scenarios stay wired to their
 // fast-path and related-key contracts.
 var (
 	_ RelatedKeyScenario = (*SimonScenario)(nil)
 	_ RelatedKeyScenario = (*SimeckScenario)(nil)
 	_ BatchScenario      = (*ChaskeyScenario)(nil)
-	_ SliceScenario      = (*SimonScenario)(nil)
-	_ SliceScenario      = (*SimeckScenario)(nil)
-	_ SliceScenario      = (*ChaskeyScenario)(nil)
 )

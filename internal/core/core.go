@@ -28,7 +28,9 @@ import (
 
 // Scenario produces labelled output-difference samples for a chosen
 // set of input differences. Implementations must be deterministic
-// functions of the provided generator.
+// functions of the provided generator. Sample is the conformance
+// oracle: the two optional fast paths the generation engine takes,
+// BatchScenario and QuadScenario, must reproduce it bit for bit.
 type Scenario interface {
 	// Name identifies the scenario in reports.
 	Name() string
@@ -60,53 +62,16 @@ type BatchScenario interface {
 	SampleBatch(r *prng.Rand, class int, dst []uint64)
 }
 
-// PairScenario additionally samples two rows at once. For the GIMLI
-// scenarios one sample already costs two permutation calls, so a row
-// pair is four independent states and SamplePair can run the
-// ×4-interleaved permutation kernel. Each row must consume only its
-// own generator (r0/r1 positional substreams) and produce exactly the
-// bytes SampleBatch would, so the generation engine can pair rows
-// freely without moving any stream.
-type PairScenario interface {
-	BatchScenario
-	// SamplePair writes packed samples for (class0, r0) into dst0 and
-	// (class1, r1) into dst1.
-	SamplePair(r0, r1 *prng.Rand, class0, class1 int, dst0, dst1 []uint64)
-}
-
 // QuadScenario additionally samples four rows at once — the width of
-// the ×8-interleaved GIMLI kernel (each sample is a state pair). The
-// same per-row rules as SamplePair apply: row k must consume only its
-// own generator r[k] and produce exactly the bytes SampleBatch would,
-// so the generation engine can group rows freely without moving any
-// stream.
+// the ×8-interleaved GIMLI kernel (each sample is a state pair). Row k
+// must consume only its own generator r[k] (its positional substream)
+// and produce exactly the bytes SampleBatch would, so the generation
+// engine can group rows freely without moving any stream.
 type QuadScenario interface {
-	PairScenario
+	BatchScenario
 	// SampleQuad writes packed samples for (class[k], r[k]) into dst[k]
 	// for k = 0..3.
 	SampleQuad(r *[4]prng.Rand, class [4]int, dst [4][]uint64)
-}
-
-// SliceScenario is the widest generation fast path: one SampleSlice
-// call fills a whole window of SliceRows consecutive dataset rows,
-// letting the scenario drive a bitsliced many-lane kernel. Unlike the
-// narrower fast paths the engine does not pre-seed generators — the
-// scenario derives each row's positional substream itself — but the
-// determinism contract is unchanged: row j must consume exactly the
-// outputs SampleBatch would consume from prng.NewStream(base, j), must
-// produce exactly its bytes, and must be labelled class j%Classes().
-// The engine only calls SampleSlice on windows fully inside one worker
-// shard; remainder rows take the narrower paths, so output stays
-// byte-identical at every worker count.
-type SliceScenario interface {
-	BatchScenario
-	// SliceRows returns the window width in rows. It must be even and
-	// positive, and is assumed to be a multiple of Classes().
-	SliceRows() int
-	// SampleSlice fills rows firstRow … firstRow+SliceRows−1: packed
-	// words into dst (SliceRows × words-per-row, row-major) and labels
-	// into y (SliceRows entries), using rw as scratch generator state.
-	SampleSlice(rw *prng.Rand, base uint64, firstRow int, dst []uint64, y []int)
 }
 
 // RelatedKeyScenario is the related-key axis of the paper's

@@ -11,7 +11,7 @@ import (
 // legacyDataset reconstructs what the pre-packing engine produced:
 // row j drawn from the positional substream prng.NewStream(base, j)
 // through the generic per-row Sample path. It is the reference the
-// packed fast paths (SampleBatch/SamplePair and the pairing engine)
+// packed fast paths (SampleBatch/SampleQuad and the generation engine)
 // must match bit for bit.
 func legacyDataset(s Scenario, perClass int, seed uint64) ([][]float64, []int) {
 	t := s.Classes()
@@ -31,7 +31,7 @@ func legacyDataset(s Scenario, perClass int, seed uint64) ([][]float64, []int) {
 // the packed engine's output — expanded back to floats — is identical
 // to the legacy per-row Sample reconstruction at workers 1, 4 and 7.
 // This is the byte-identity contract that lets the packed backing
-// store, the scenario fast paths and the pair kernels replace the
+// store and the scenario fast paths replace the
 // [][]float64 pipeline without moving a single sample.
 func TestPackedMatchesLegacySample(t *testing.T) {
 	for _, s := range RegisteredScenarios() {

@@ -121,18 +121,6 @@ func (s *GimliHashScenario) SampleBatch(r *prng.Rand, class int, dst []uint64) {
 	packRateDiff(&a, &b, dst)
 }
 
-// SamplePair generates two samples at once. A sample is two permutation
-// states, so the pair's four independent states run through the
-// ×4-interleaved kernel.
-func (s *GimliHashScenario) SamplePair(r0, r1 *prng.Rand, class0, class1 int, dst0, dst1 []uint64) {
-	var a0, b0, a1, b1 gimli.State
-	s.statePair(r0, class0, &a0, &b0)
-	s.statePair(r1, class1, &a1, &b1)
-	gimli.PermuteRounds4(&a0, &b0, &a1, &b1, s.Rounds)
-	packRateDiff(&a0, &b0, dst0)
-	packRateDiff(&a1, &b1, dst1)
-}
-
 // SampleQuad generates four samples — eight independent states — in
 // one ×8-interleaved permutation pass.
 func (s *GimliHashScenario) SampleQuad(r *[4]prng.Rand, class [4]int, dst [4][]uint64) {
@@ -239,17 +227,6 @@ func (s *GimliCipherScenario) SampleBatch(r *prng.Rand, class int, dst []uint64)
 	packRateDiff(&a, &b, dst)
 }
 
-// SamplePair generates two samples at once through the ×4-interleaved
-// permutation kernel.
-func (s *GimliCipherScenario) SamplePair(r0, r1 *prng.Rand, class0, class1 int, dst0, dst1 []uint64) {
-	var a0, b0, a1, b1 gimli.State
-	s.statePair(r0, class0, &a0, &b0)
-	s.statePair(r1, class1, &a1, &b1)
-	gimli.PermuteRounds4(&a0, &b0, &a1, &b1, s.Rounds)
-	packRateDiff(&a0, &b0, dst0)
-	packRateDiff(&a1, &b1, dst1)
-}
-
 // SampleQuad generates four samples — eight independent states — in
 // one ×8-interleaved permutation pass.
 func (s *GimliCipherScenario) SampleQuad(r *[4]prng.Rand, class [4]int, dst [4][]uint64) {
@@ -315,9 +292,7 @@ func (s *SpeckScenario) RandomSample(r *prng.Rand) []float64 {
 // no allocation. Class 1 re-keys a stack Cipher and encrypts the
 // plaintext pair in one interleaved pass; class 0's four random bytes
 // are the low half of one generator output, exactly as Bytes(4) lays
-// them out. SPECK does not implement PairScenario: at t = 2 every even
-// row is a class-0 random sample, so cross-sample pairing would never
-// pair two encryptions.
+// them out.
 func (s *SpeckScenario) SampleBatch(r *prng.Rand, class int, dst []uint64) {
 	if class == 0 {
 		dst[0] = r.Uint64() & 0xffffffff
@@ -331,57 +306,11 @@ func (s *SpeckScenario) SampleBatch(r *prng.Rand, class int, dst []uint64) {
 	dst[0] = uint64(d.X) | uint64(d.Y)<<16
 }
 
-// SliceRows returns the bitsliced window: 128 encryption lanes, and at
-// t = 2 every other row is a cheap random sample, so one window is 256
-// rows.
-func (s *SpeckScenario) SliceRows() int { return 2 * speck.SlicedLanes }
-
-// SampleSlice fills one 256-row window through the ×128 bitsliced
-// differential kernel. Row j draws from its positional substream
-// exactly as SampleBatch would — class 0 one word, class 1 six 16-bit
-// words — but each class is one vectorized prng.DrawWords64Strided
-// call over the window's 128 substreams. The class-1 draw columns
-// transpose per 64-lane group straight into the kernel's plane
-// matrices, then all 128 encryptions run in one EncryptDiffPlanes128
-// call. A SPECK row is one packed word, so dst is indexed by row.
-func (s *SpeckScenario) SampleSlice(_ *prng.Rand, base uint64, firstRow int, dst []uint64, y []int) {
-	off0 := firstRow & 1
-	off1 := 1 - off0
-	var rnd [speck.SlicedLanes]uint64
-	prng.DrawWords64Strided(base, uint64(firstRow+off0), 2, speck.SlicedLanes, 1, rnd[:])
-	for l := 0; l < speck.SlicedLanes; l++ {
-		dst[off0+2*l] = rnd[l] & 0xffffffff
-	}
-	var cols [6 * speck.SlicedLanes]uint64
-	prng.DrawWords64Strided(base, uint64(firstRow+off1), 2, speck.SlicedLanes, 6, cols[:])
-	// Column w of lane group g (64 lanes each) lives at
-	// cols[w*128+64*g : w*128+64*g+64]; draw order is k0..k3, X, Y.
-	col := func(w, g int) *[64]uint64 {
-		return (*[64]uint64)(cols[w*speck.SlicedLanes+64*g : w*speck.SlicedLanes+64*g+64])
-	}
-	var m0, m1 [64]uint64
-	var mp0, mp1 [32]uint64
-	bits.TransposeTop16Pair(col(0, 0), col(1, 0), (*[32]uint64)(m0[0:32]))
-	bits.TransposeTop16Pair(col(2, 0), col(3, 0), (*[32]uint64)(m0[32:64]))
-	bits.TransposeTop16Pair(col(0, 1), col(1, 1), (*[32]uint64)(m1[0:32]))
-	bits.TransposeTop16Pair(col(2, 1), col(3, 1), (*[32]uint64)(m1[32:64]))
-	bits.TransposeTop16Pair(col(4, 0), col(5, 0), &mp0)
-	bits.TransposeTop16Pair(col(4, 1), col(5, 1), &mp1)
-	var out [speck.SlicedLanes]uint32
-	speck.EncryptDiffPlanes128(&m0, &m1, &mp0, &mp1, s.Delta, s.Rounds, &out)
-	for l := 0; l < speck.SlicedLanes; l++ {
-		dst[off1+2*l] = uint64(out[l])
-	}
-	for i := range y {
-		y[i] = (firstRow + i) & 1
-	}
-}
-
 // Compile-time checks that the packed fast paths stay wired up.
 var (
 	_ QuadScenario  = (*GimliHashScenario)(nil)
 	_ QuadScenario  = (*GimliCipherScenario)(nil)
-	_ SliceScenario = (*SpeckScenario)(nil)
+	_ BatchScenario = (*SpeckScenario)(nil)
 )
 
 // FuncScenario adapts an arbitrary fixed-input-length function to a

@@ -86,51 +86,8 @@ func (s *Gift64Scenario) SampleBatch(r *prng.Rand, class int, dst []uint64) {
 	dst[0] = c.EncryptRounds(p, s.Rounds) ^ c.EncryptRounds(p^s.Delta, s.Rounds)
 }
 
-// SliceRows returns the bitsliced window: 64 encryption lanes plus
-// their interleaved class-0 rows.
-func (s *Gift64Scenario) SliceRows() int { return 2 * gift.SlicedLanes64 }
-
-// SampleSlice fills one 128-row window through the ×64 bitsliced
-// differential kernel, replacing 128 table-driven scalar encryptions
-// (each paying a full 28-round schedule expansion) with one fused
-// plane walk. Row j draws from its positional substream exactly as
-// SampleBatch would — class 0 one word, class 1 eight 16-bit key words
-// then the plaintext word — but each class is one vectorized
-// prng.DrawWords64Strided call over the window's 64 substreams, with
-// the key columns transposed pairwise into the kernel's plane matrices
-// and the plaintext column transposed whole.
-func (s *Gift64Scenario) SampleSlice(_ *prng.Rand, base uint64, firstRow int, dst []uint64, y []int) {
-	off0 := firstRow & 1
-	off1 := 1 - off0
-	var rnd [gift.SlicedLanes64]uint64
-	prng.DrawWords64Strided(base, uint64(firstRow+off0), 2, gift.SlicedLanes64, 1, rnd[:])
-	for l := 0; l < gift.SlicedLanes64; l++ {
-		dst[off0+2*l] = rnd[l]
-	}
-	var cols [9 * gift.SlicedLanes64]uint64
-	prng.DrawWords64Strided(base, uint64(firstRow+off1), 2, gift.SlicedLanes64, 9, cols[:])
-	var mkLo, mkHi [64]uint64
-	bits.TransposeTop16Pair((*[64]uint64)(cols[0:64]), (*[64]uint64)(cols[64:128]), (*[32]uint64)(mkLo[0:32]))
-	bits.TransposeTop16Pair((*[64]uint64)(cols[128:192]), (*[64]uint64)(cols[192:256]), (*[32]uint64)(mkLo[32:64]))
-	bits.TransposeTop16Pair((*[64]uint64)(cols[256:320]), (*[64]uint64)(cols[320:384]), (*[32]uint64)(mkHi[0:32]))
-	bits.TransposeTop16Pair((*[64]uint64)(cols[384:448]), (*[64]uint64)(cols[448:512]), (*[32]uint64)(mkHi[32:64]))
-	pt := (*[64]uint64)(cols[512:576])
-	bits.Transpose64(pt)
-	var out [gift.SlicedLanes64]uint64
-	gift.EncryptDiffPlanes64(&mkLo, &mkHi, pt, s.Delta, s.Rounds, &out)
-	for l := 0; l < gift.SlicedLanes64; l++ {
-		dst[off1+2*l] = out[l]
-	}
-	for i := range y {
-		y[i] = (firstRow + i) & 1
-	}
-}
-
 // Compile-time check that the packed fast path stays wired up.
-var (
-	_ BatchScenario = (*Gift64Scenario)(nil)
-	_ SliceScenario = (*Gift64Scenario)(nil)
-)
+var _ BatchScenario = (*Gift64Scenario)(nil)
 
 // NewSalsaScenario builds a t = 2 scenario over the round-reduced
 // Salsa20 core: the two input differences flip the least significant

@@ -1,5 +1,5 @@
 // Package cpu holds runtime CPU feature detection for the SIMD
 // kernels. It is a leaf package — it imports nothing inside the
-// module — so every accelerated package (bits, prng, nn, the cipher
-// kernels) can gate its vector paths on it without import cycles.
+// module — so the accelerated matrix kernels in internal/nn can gate
+// their vector paths on it without import cycles.
 package cpu

@@ -2,17 +2,17 @@ package gimli
 
 import "math/bits"
 
-// This file provides a ×4-interleaved variant of the permutation for
-// the dataset fast path in internal/core: one differential sample costs
-// two permutation calls (the input pair), so a pair of samples is four
-// independent 384-bit states. Interleaving them in one pass exposes
-// instruction-level parallelism the one-state loop cannot — the SP-box
-// is a short serial dependency chain, and four independent chains keep
-// the ALU ports busy while each chain waits on itself.
+// This file provides a ×8-interleaved variant of the permutation for
+// the GIMLI dataset fast path in internal/core: one differential sample
+// costs two permutation calls (the input pair), so four samples are
+// eight independent 384-bit states. Interleaving them in one pass
+// exposes instruction-level parallelism the one-state loop cannot —
+// the SP-box is a short serial dependency chain, and independent
+// chains keep the ALU ports busy while each chain waits on itself.
 //
 // The interleaved kernel is a pure reordering of the scalar one: it
-// applies exactly round(s, r) to each state, so PermuteRounds4 output
-// is bit-identical to four PermuteRounds calls (property-tested in
+// applies exactly round(s, r) to each state, so PermuteRounds8 output
+// is bit-identical to eight PermuteRounds calls (property-tested in
 // interleave_test.go).
 
 // spbox is the SP-box of SPBox with the outputs in storage order
@@ -25,29 +25,6 @@ func spbox(s0, s1, s2 uint32) (uint32, uint32, uint32) {
 	return z ^ y ^ ((x & y) << 3),
 		y ^ x ^ ((x | z) << 1),
 		x ^ (z << 1) ^ ((y & z) << 2)
-}
-
-// Permute4 applies the full 24-round permutation to four independent
-// states in one interleaved pass.
-func Permute4(a, b, c, d *State) { PermuteRounds4(a, b, c, d, FullRounds) }
-
-// PermuteRounds4 applies the first n rounds of GIMLI (round numbers 24
-// down to 24−n+1) to four independent states, bit-identical to calling
-// PermuteRounds(·, n) on each. n must be in [0, 24].
-func PermuteRounds4(a, b, c, d *State, n int) {
-	PermuteFrom4(a, b, c, d, FullRounds, n)
-}
-
-// PermuteFrom4 applies n rounds starting at round number start and
-// counting down to four independent states, bit-identical to four
-// PermuteFrom calls. It panics if the window is out of range.
-func PermuteFrom4(a, b, c, d *State, start, n int) {
-	if n < 0 || start > FullRounds || start-n < 0 {
-		panic("gimli: round window out of range")
-	}
-	for r := start; r > start-n; r-- {
-		round4(a, b, c, d, r)
-	}
 }
 
 // Permute8 applies the full 24-round permutation to eight independent
@@ -69,44 +46,31 @@ func PermuteFrom8(s *[8]*State, start, n int) {
 	if n < 0 || start > FullRounds || start-n < 0 {
 		panic("gimli: round window out of range")
 	}
-	sa, sb, sc, sd := s[0], s[1], s[2], s[3]
-	se, sf, sg, sh := s[4], s[5], s[6], s[7]
 	// Two ×4 column groups per round rather than eight fused SP-box
 	// chains: four chains already saturate the ALU ports, and a fused
 	// ×8 inner loop needs more live registers than amd64 has (measured
-	// ~25% slower from the spills). Keeping the round loop shared still
-	// saves the second pass's round-phase branching.
+	// ~25% slower from the spills).
 	for r := start; r > start-n; r-- {
-		round4(sa, sb, sc, sd, r)
-		round4(se, sf, sg, sh, r)
-	}
-}
-
-// round4 applies GIMLI round r to four states. The column loop cycles
-// through the four states before advancing, so the instruction stream
-// always holds four independent SP-box chains in flight.
-func round4(sa, sb, sc, sd *State, r int) {
-	for j := 0; j < 4; j++ {
-		sa[j], sa[4+j], sa[8+j] = spbox(sa[j], sa[4+j], sa[8+j])
-		sb[j], sb[4+j], sb[8+j] = spbox(sb[j], sb[4+j], sb[8+j])
-		sc[j], sc[4+j], sc[8+j] = spbox(sc[j], sc[4+j], sc[8+j])
-		sd[j], sd[4+j], sd[8+j] = spbox(sd[j], sd[4+j], sd[8+j])
-	}
-	switch r & 3 {
-	case 0:
-		rc := RoundConstantBase ^ uint32(r)
-		smallSwap(sa)
-		sa[0] ^= rc
-		smallSwap(sb)
-		sb[0] ^= rc
-		smallSwap(sc)
-		sc[0] ^= rc
-		smallSwap(sd)
-		sd[0] ^= rc
-	case 2:
-		bigSwap(sa)
-		bigSwap(sb)
-		bigSwap(sc)
-		bigSwap(sd)
+		for g := 0; g < 8; g += 4 {
+			sa, sb, sc, sd := s[g], s[g+1], s[g+2], s[g+3]
+			for j := 0; j < 4; j++ {
+				sa[j], sa[4+j], sa[8+j] = spbox(sa[j], sa[4+j], sa[8+j])
+				sb[j], sb[4+j], sb[8+j] = spbox(sb[j], sb[4+j], sb[8+j])
+				sc[j], sc[4+j], sc[8+j] = spbox(sc[j], sc[4+j], sc[8+j])
+				sd[j], sd[4+j], sd[8+j] = spbox(sd[j], sd[4+j], sd[8+j])
+			}
+		}
+		switch r & 3 {
+		case 0:
+			rc := RoundConstantBase ^ uint32(r)
+			for _, st := range s {
+				smallSwap(st)
+				st[0] ^= rc
+			}
+		case 2:
+			for _, st := range s {
+				bigSwap(st)
+			}
+		}
 	}
 }

@@ -1,4 +1,4 @@
-// Tests and microbenchmarks for the ×4-interleaved permutation.
+// Tests and microbenchmarks for the ×8-interleaved permutation.
 // External test package so the property tests can go through
 // internal/testkit (which imports gimli).
 package gimli_test
@@ -11,125 +11,6 @@ import (
 	"repro/internal/prng"
 	"repro/internal/testkit"
 )
-
-// quad is four independent states plus a round count.
-type quad struct {
-	S      [4]gimli.State
-	Rounds int
-}
-
-func quadCases() testkit.Gen[quad] {
-	st := testkit.GimliState()
-	return testkit.Gen[quad]{
-		Name: "gimli quad",
-		Generate: func(r *prng.Rand) quad {
-			var q quad
-			for i := range q.S {
-				q.S[i] = st.Generate(r)
-			}
-			q.Rounds = r.Intn(gimli.FullRounds + 1)
-			return q
-		},
-		Shrink: func(v quad) []quad {
-			var out []quad
-			if v.Rounds > 0 {
-				w := v
-				w.Rounds--
-				out = append(out, w)
-			}
-			for i := range v.S {
-				for _, s := range st.Shrink(v.S[i]) {
-					w := v
-					w.S[i] = s
-					out = append(out, w)
-				}
-			}
-			return out
-		},
-		Format: func(v quad) string {
-			return fmt.Sprintf("rounds=%d s0=%08x", v.Rounds, [12]uint32(v.S[0]))
-		},
-	}
-}
-
-// TestPermuteRounds4MatchesScalar: the interleaved kernel is
-// bit-identical to four scalar PermuteRounds calls for every state
-// tuple and round count in [0, 24].
-func TestPermuteRounds4MatchesScalar(t *testing.T) {
-	testkit.Check(t, "gimli-permute4-vs-scalar", quadCases(), func(q quad) error {
-		want := q.S
-		for i := range want {
-			gimli.PermuteRounds(&want[i], q.Rounds)
-		}
-		got := q.S
-		gimli.PermuteRounds4(&got[0], &got[1], &got[2], &got[3], q.Rounds)
-		for i := range got {
-			if got[i] != want[i] {
-				return fmt.Errorf("state %d diverged over %d rounds", i, q.Rounds)
-			}
-		}
-		return nil
-	})
-}
-
-// TestPermuteFrom4MatchesScalar covers interior round windows, which
-// exercise every swap/constant phase alignment.
-func TestPermuteFrom4MatchesScalar(t *testing.T) {
-	r := prng.New(7)
-	var s [4]gimli.State
-	for start := 0; start <= gimli.FullRounds; start++ {
-		for n := 0; n <= start; n++ {
-			for i := range s {
-				for w := range s[i] {
-					s[i][w] = r.Uint32()
-				}
-			}
-			want := s
-			for i := range want {
-				gimli.PermuteFrom(&want[i], start, n)
-			}
-			got := s
-			gimli.PermuteFrom4(&got[0], &got[1], &got[2], &got[3], start, n)
-			if got != want {
-				t.Fatalf("start=%d n=%d: interleaved output differs from scalar", start, n)
-			}
-		}
-	}
-}
-
-// TestPermute4Full: the full-permutation convenience wrapper.
-func TestPermute4Full(t *testing.T) {
-	r := prng.New(9)
-	var s [4]gimli.State
-	for i := range s {
-		for w := range s[i] {
-			s[i][w] = r.Uint32()
-		}
-	}
-	want := s
-	for i := range want {
-		gimli.Permute(&want[i])
-	}
-	got := s
-	gimli.Permute4(&got[0], &got[1], &got[2], &got[3])
-	if got != want {
-		t.Fatal("Permute4 differs from four Permute calls")
-	}
-}
-
-func TestPermuteFrom4RangeChecks(t *testing.T) {
-	for _, c := range []struct{ start, n int }{{24, -1}, {25, 1}, {3, 4}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("start=%d n=%d: no panic", c.start, c.n)
-				}
-			}()
-			var a, b, cc, d gimli.State
-			gimli.PermuteFrom4(&a, &b, &cc, &d, c.start, c.n)
-		}()
-	}
-}
 
 // octet is eight independent states plus a round count.
 type octet struct {
@@ -247,8 +128,8 @@ func TestPermuteFrom8RangeChecks(t *testing.T) {
 }
 
 // BenchmarkPermuteRounds is the scalar baseline at the paper's 8-round
-// budget: four states permuted one at a time, so ns/op is directly
-// comparable with BenchmarkPermuteRounds4.
+// budget: four states permuted one at a time, so ns/op is half the
+// work of BenchmarkPermuteRounds8.
 func BenchmarkPermuteRounds(b *testing.B) {
 	var s [4]gimli.State
 	for i := range s {
@@ -265,24 +146,8 @@ func BenchmarkPermuteRounds(b *testing.B) {
 	b.ReportMetric(4, "states/op")
 }
 
-// BenchmarkPermuteRounds4 measures the interleaved kernel on the same
-// four states and round budget.
-func BenchmarkPermuteRounds4(b *testing.B) {
-	var s [4]gimli.State
-	for i := range s {
-		for w := range s[i] {
-			s[i][w] = uint32(17*i + w + 1)
-		}
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		gimli.PermuteRounds4(&s[0], &s[1], &s[2], &s[3], 8)
-	}
-	b.ReportMetric(4, "states/op")
-}
-
 // BenchmarkPermuteRounds8 measures the ×8 kernel; ns/op covers eight
-// states, i.e. twice the work of the ×4 benchmark.
+// states, i.e. twice the work of the scalar benchmark.
 func BenchmarkPermuteRounds8(b *testing.B) {
 	var s [8]gimli.State
 	for i := range s {

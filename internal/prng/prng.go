@@ -177,38 +177,6 @@ func (r *Rand) SeedStream(seed, stream uint64) {
 	}
 }
 
-// StreamSeeder precomputes the seed-dependent half of SeedStream for
-// one base seed, so a hot loop that seeds many substreams of the same
-// base pays only the stream-dependent SplitMix64 chain per row. The
-// bitsliced dataset windows seed 128–256 positional substreams per
-// kernel call, and the seed chain's four SplitMix64 outputs are
-// identical for every one of them.
-type StreamSeeder struct {
-	a [4]uint64
-}
-
-// NewStreamSeeder captures the seed chain of SeedStream(seed, ·).
-func NewStreamSeeder(seed uint64) StreamSeeder {
-	var ss StreamSeeder
-	sm := seed
-	for i := range ss.a {
-		ss.a[i] = splitMix64(&sm)
-	}
-	return ss
-}
-
-// Seed reinitializes r in place to exactly the state
-// r.SeedStream(seed, stream) would produce for the captured seed.
-func (ss *StreamSeeder) Seed(r *Rand, stream uint64) {
-	b := stream ^ 0xd1b54a32d192ed03
-	for i := range r.s {
-		r.s[i] = ss.a[i] ^ rotl64(splitMix64(&b), 31)
-	}
-	if r.s[0]|r.s[1]|r.s[2]|r.s[3] == 0 {
-		r.s[0] = 0x9e3779b97f4a7c15
-	}
-}
-
 // Perm returns a uniformly random permutation of [0, n) as a slice,
 // using the Fisher–Yates shuffle.
 func (r *Rand) Perm(n int) []int {

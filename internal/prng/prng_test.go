@@ -54,6 +54,30 @@ func TestIntnRange(t *testing.T) {
 	}
 }
 
+// TestIntnLargeBound drives Lemire's rejection loop: for n ≈ 3/8 of
+// 2^64 about a quarter of raw draws fall below the threshold and must
+// be redrawn, so both the loop and its exit are exercised. Results stay
+// in range and land on both sides of n/2.
+func TestIntnLargeBound(t *testing.T) {
+	n := math.MaxInt>>1 + math.MaxInt>>2 + 1
+	r := New(11)
+	var low, high int
+	for i := 0; i < 1000; i++ {
+		v := r.Intn(n)
+		if v < 0 || v >= n {
+			t.Fatalf("Intn(%d) = %d out of range", n, v)
+		}
+		if v < n/2 {
+			low++
+		} else {
+			high++
+		}
+	}
+	if low < 400 || high < 400 {
+		t.Fatalf("Intn(%d) halves %d/%d, want ≈ 500/500", n, low, high)
+	}
+}
+
 func TestIntnPanicsOnNonPositive(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -251,40 +275,6 @@ func TestNewStreamUniformity(t *testing.T) {
 	for b, c := range counts {
 		if math.Abs(float64(c)-want) > 5*math.Sqrt(want) {
 			t.Fatalf("bucket %d has %d first-outputs, want ≈ %.0f", b, c, want)
-		}
-	}
-}
-
-func TestStreamSeederMatchesSeedStream(t *testing.T) {
-	// The seeder hoists the seed half of the mixing chain; the state it
-	// produces must be indistinguishable from a fresh SeedStream for
-	// every stream, including stream values that trip the zero guard's
-	// code path (the guard itself is unreachable for real mixes, but
-	// the seeder must share SeedStream's exact branch structure).
-	for _, seed := range []uint64{0, 1, 99, 0xdeadbeefcafef00d} {
-		ss := NewStreamSeeder(seed)
-		var r Rand
-		for stream := uint64(0); stream < 64; stream++ {
-			ss.Seed(&r, stream)
-			want := NewStream(seed, stream)
-			for i := 0; i < 8; i++ {
-				if a, b := r.Uint64(), want.Uint64(); a != b {
-					t.Fatalf("seed %d stream %d: seeder state differs from SeedStream at draw %d", seed, stream, i)
-				}
-			}
-		}
-	}
-}
-
-func TestStreamSeederOverwritesPriorState(t *testing.T) {
-	ss := NewStreamSeeder(99)
-	r := New(7)
-	_ = r.Uint64()
-	ss.Seed(r, 17)
-	want := NewStream(99, 17)
-	for i := 0; i < 32; i++ {
-		if a, b := r.Uint64(), want.Uint64(); a != b {
-			t.Fatalf("seeder left prior state visible at draw %d", i)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -379,25 +380,33 @@ func TestRequestValidation(t *testing.T) {
 	d := offline(t)
 	rows, labels := sampleRows(d, 1, 4)
 
+	badBit := manyRows(d, 2)
+	badBit[1][5] = 0.5
 	cases := []struct {
 		name string
 		url  string
 		body any
 		want int
+		msg  string // substring the error must contain, if set
 	}{
-		{"bad json", "/v1/classify", "not json", http.StatusBadRequest},
-		{"unknown model", "/v1/classify", classifyRequest{Model: "nope", Rows: rows}, http.StatusNotFound},
-		{"no rows", "/v1/classify", classifyRequest{Model: "speck4"}, http.StatusBadRequest},
-		{"rows and hex", "/v1/classify", classifyRequest{Model: "speck4", Rows: rows, Hex: []string{"00"}}, http.StatusBadRequest},
-		{"ragged row", "/v1/classify", classifyRequest{Model: "speck4", Rows: [][]float64{{0, 1}}}, http.StatusBadRequest},
-		{"bad hex", "/v1/classify", classifyRequest{Model: "speck4", Hex: []string{"zz"}}, http.StatusBadRequest},
-		{"short hex", "/v1/classify", classifyRequest{Model: "speck4", Hex: []string{"00"}}, http.StatusBadRequest},
-		{"oversize", "/v1/classify", classifyRequest{Model: "speck4", Rows: manyRows(d, 33)}, http.StatusRequestEntityTooLarge},
-		{"label count", "/v1/distinguish", classifyRequest{Model: "speck4", Rows: rows, Labels: labels[:2]}, http.StatusBadRequest},
-		{"label range", "/v1/distinguish", classifyRequest{Model: "speck4", Rows: rows, Labels: []int{0, 1, 2, 1}}, http.StatusBadRequest},
-		{"load missing fields", "/models", map[string]string{"name": "x"}, http.StatusBadRequest},
-		{"load bad path", "/models", map[string]string{"name": "x", "path": "/nonexistent.gob"}, http.StatusUnprocessableEntity},
-		{"load bad json", "/models", "nope", http.StatusBadRequest},
+		{"bad json", "/v1/classify", "not json", http.StatusBadRequest, ""},
+		{"unknown model", "/v1/classify", classifyRequest{Model: "nope", Rows: rows}, http.StatusNotFound, ""},
+		{"no rows", "/v1/classify", classifyRequest{Model: "speck4"}, http.StatusBadRequest, ""},
+		{"rows and hex", "/v1/classify", classifyRequest{Model: "speck4", Rows: rows, Hex: []string{"00"}}, http.StatusBadRequest, ""},
+		{"ragged row", "/v1/classify", classifyRequest{Model: "speck4", Rows: [][]float64{{0, 1}}}, http.StatusBadRequest, ""},
+		{"bad hex", "/v1/classify", classifyRequest{Model: "speck4", Hex: []string{"zz"}}, http.StatusBadRequest, ""},
+		{"short hex", "/v1/classify", classifyRequest{Model: "speck4", Hex: []string{"00"}}, http.StatusBadRequest, ""},
+		{"oversize", "/v1/classify", classifyRequest{Model: "speck4", Rows: manyRows(d, 33)}, http.StatusRequestEntityTooLarge, ""},
+		// The row cap applies before any hex row is decoded: these rows
+		// are all malformed, yet the answer is 413, not 400.
+		{"oversize hex", "/v1/classify", classifyRequest{Model: "speck4", Hex: make([]string, 33)}, http.StatusRequestEntityTooLarge, "33 rows"},
+		{"oversize body", "/v1/classify", strings.Repeat(" ", maxBody) + "{}", http.StatusRequestEntityTooLarge, ""},
+		{"non-bit value", "/v1/classify", classifyRequest{Model: "speck4", Rows: badBit}, http.StatusBadRequest, "row 1 column 5"},
+		{"label count", "/v1/distinguish", classifyRequest{Model: "speck4", Rows: rows, Labels: labels[:2]}, http.StatusBadRequest, ""},
+		{"label range", "/v1/distinguish", classifyRequest{Model: "speck4", Rows: rows, Labels: []int{0, 1, 2, 1}}, http.StatusBadRequest, ""},
+		{"load missing fields", "/models", map[string]string{"name": "x"}, http.StatusBadRequest, ""},
+		{"load bad path", "/models", map[string]string{"name": "x", "path": "/nonexistent.gob"}, http.StatusUnprocessableEntity, ""},
+		{"load bad json", "/models", "nope", http.StatusBadRequest, ""},
 	}
 	for _, tc := range cases {
 		var resp *http.Response
@@ -407,7 +416,11 @@ func TestRequestValidation(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			body, err = io.ReadAll(r.Body)
 			r.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
 			resp = r
 		} else {
 			resp, body = postJSON(t, ts.URL+tc.url, tc.body)
@@ -420,6 +433,9 @@ func TestRequestValidation(t *testing.T) {
 			if err := json.Unmarshal(body, &e); err != nil || e.Error == "" {
 				t.Errorf("%s: error body %q not a JSON error", tc.name, body)
 			}
+		}
+		if tc.msg != "" && !strings.Contains(e.Error, tc.msg) {
+			t.Errorf("%s: error %q does not mention %q", tc.name, e.Error, tc.msg)
 		}
 	}
 }

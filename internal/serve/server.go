@@ -201,6 +201,28 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, errorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
+// maxBody bounds the request bodies a replica decodes. It matches the
+// cluster router's buffering bound, so every body the router forwards
+// fits.
+const maxBody = 16 << 20
+
+// decodeBody decodes the JSON request body into v, reading at most
+// maxBody bytes. On error it writes 413 for an oversized body or 400
+// for malformed JSON and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody)).Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", maxBody)
+	} else {
+		writeError(w, http.StatusBadRequest, "invalid JSON body: %v", err)
+	}
+	return false
+}
+
 // --- handlers ---
 
 // decodeRows parses and validates the request body, resolves the
@@ -208,8 +230,7 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 // it writes the response itself and returns ok=false.
 func (s *Server) decodeRows(w http.ResponseWriter, r *http.Request) (*Entry, *classifyRequest, [][]float64, bool) {
 	var req classifyRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid JSON body: %v", err)
+	if !decodeBody(w, r, &req) {
 		return nil, nil, nil, false
 	}
 	entry, ok := s.reg.Get(req.Model)
@@ -219,6 +240,12 @@ func (s *Server) decodeRows(w http.ResponseWriter, r *http.Request) (*Entry, *cl
 	}
 	if (len(req.Rows) == 0) == (len(req.Hex) == 0) {
 		writeError(w, http.StatusBadRequest, "exactly one of rows or hex must be non-empty")
+		return nil, nil, nil, false
+	}
+	// Cap the batch before any row is validated or expanded.
+	if n := max(len(req.Rows), len(req.Hex)); n > s.sched.MaxBatch() {
+		writeError(w, http.StatusRequestEntityTooLarge, "request has %d rows, max %d per request (split the batch)",
+			n, s.sched.MaxBatch())
 		return nil, nil, nil, false
 	}
 	featLen := entry.FeatureLen()
@@ -246,12 +273,13 @@ func (s *Server) decodeRows(w http.ResponseWriter, r *http.Request) (*Entry, *cl
 					i, len(row), req.Model, featLen)
 				return nil, nil, nil, false
 			}
+			for j, v := range row {
+				if v != 0 && v != 1 {
+					writeError(w, http.StatusBadRequest, "row %d column %d: value %v is not a bit (0 or 1)", i, j, v)
+					return nil, nil, nil, false
+				}
+			}
 		}
-	}
-	if len(rows) > s.sched.MaxBatch() {
-		writeError(w, http.StatusRequestEntityTooLarge, "request has %d rows, max %d per request (split the batch)",
-			len(rows), s.sched.MaxBatch())
-		return nil, nil, nil, false
 	}
 	return entry, &req, rows, true
 }
@@ -449,8 +477,7 @@ func (s *Server) handleModelsLoad(w http.ResponseWriter, r *http.Request) {
 		Name string `json:"name"`
 		Path string `json:"path"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid JSON body: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if req.Name == "" || req.Path == "" {

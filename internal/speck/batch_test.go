@@ -84,37 +84,4 @@ func BenchmarkSpeckEncrypt(b *testing.B) {
 		}
 		_ = sink
 	})
-	// sliced64 does the same per-block work — fresh key schedule, two
-	// 7-round encryptions, output difference — but for 64 lanes per
-	// kernel call; ns/block is the per-op time over 128 encryptions.
-	b.Run("sliced64", func(b *testing.B) {
-		b.ReportAllocs()
-		var keyRows [64]uint64
-		var ptRows [64]uint32
-		for l := 0; l < 64; l++ {
-			keyRows[l] = speck.PackKeyRow(key[0]+uint16(l), key[1], key[2], key[3])
-			ptRows[l] = speck.PackBlockRow(speck.Block{X: p.X + uint16(l), Y: p.Y})
-		}
-		var out [64]uint32
-		for i := 0; i < b.N; i++ {
-			speck.EncryptDiffSliced64(&keyRows, &ptRows, speck.GohrDelta, 7, &out)
-		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*128), "ns/block")
-	})
-	// sliced128 is the production sampler width: 128 lanes per call,
-	// AVX2 interleaved planes where available. 256 encryptions per op.
-	b.Run("sliced128", func(b *testing.B) {
-		b.ReportAllocs()
-		var keyRows [128]uint64
-		var ptRows [128]uint32
-		for l := 0; l < 128; l++ {
-			keyRows[l] = speck.PackKeyRow(key[0]+uint16(l), key[1], key[2], key[3])
-			ptRows[l] = speck.PackBlockRow(speck.Block{X: p.X + uint16(l), Y: p.Y})
-		}
-		var out [128]uint32
-		for i := 0; i < b.N; i++ {
-			speck.EncryptDiffSliced128(&keyRows, &ptRows, speck.GohrDelta, 7, &out)
-		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*256), "ns/block")
-	})
 }

@@ -60,20 +60,18 @@ trap 'rm -f "$TMP"' EXIT
 
 # Root package: dataset generation, batched inference, matrix kernels.
 # internal/nn: the training engine (BenchmarkFit) and kernel micro-benchmarks.
-# internal/prng: the vectorized positional draw kernels feeding the
-# sliced dataset path (BenchmarkSeedStream, BenchmarkDrawBatch).
 # internal/gimli + internal/speck + internal/simon + internal/simeck +
-# internal/chaskey + internal/gift: the scalar, interleaved and ×64
-# bitsliced cipher kernels behind the packed dataset fast path.
+# internal/chaskey + internal/gift: the scalar and interleaved cipher
+# kernels behind the packed dataset fast path.
 # internal/serve: the full HTTP classify path through the
 # micro-batching scheduler (BenchmarkServeClassify).
 # internal/ledger: audit-record append throughput (BenchmarkLedgerAppend).
 # internal/cluster: the routed classify path — router handler, HTTP hop
 # to a replica, micro-batched inference (BenchmarkRouterClassify).
-go test . ./internal/nn/ ./internal/prng/ ./internal/gimli/ ./internal/speck/ ./internal/simon/ \
+go test . ./internal/nn/ ./internal/gimli/ ./internal/speck/ ./internal/simon/ \
     ./internal/simeck/ ./internal/chaskey/ ./internal/gift/ ./internal/serve/ \
     ./internal/ledger/ ./internal/cluster/ -run '^$' \
-    -bench 'Fit|GenerateDataset|PredictBatch|MatMul|Mul128|PermuteRounds|SpeckEncrypt|SimonEncrypt|SimeckEncrypt|ChaskeyPermute|Gift64Encrypt|ServeClassify|DrawBatch|SeedStream|LedgerAppend|RouterClassify' \
+    -bench 'Fit|GenerateDataset|PredictBatch|MatMul|Mul128|PermuteRounds|SpeckEncrypt|SimonEncrypt|SimeckEncrypt|ChaskeyPermute|Gift64Encrypt|ServeClassify|LedgerAppend|RouterClassify' \
     -benchtime "$BENCHTIME" -benchmem -count "$COUNT" | tee "$TMP"
 
 # Scaling pass: the sharded hot paths again at GOMAXPROCS>1.

@@ -44,7 +44,6 @@ if [[ "${CHECK_FUZZ:-1}" != "0" ]]; then
       "./internal/bits FuzzToFloatsRoundTrip" \
       "./internal/bits FuzzHexRoundTrip" \
       "./internal/bits FuzzBitOps" \
-      "./internal/prng FuzzDrawBatch" \
       "./internal/nn FuzzLoadArbitraryBytes" \
       "./internal/nn FuzzSaveLoadRoundTrip" \
       "./internal/core FuzzLoadDistinguisher" \
