@@ -114,13 +114,19 @@ func (s *SimonScenario) RandomSample(r *prng.Rand) []float64 {
 	return bits.ToFloats(make([]float64, 0, 32), r.Bytes(4))
 }
 
+// RandomBatch is the packed fast path of RandomSample.
+func (s *SimonScenario) RandomBatch(r *prng.Rand, dst []uint64) {
+	randomBatch(r, dst, s.FeatureLen())
+}
+
 // SampleBatch is the packed fast path of Sample: same draws, same bits,
 // no allocation. Class 1 re-keys one or two stack Ciphers and encrypts
 // the plaintext pair in one interleaved pass (the related-key chains
-// carry distinct round keys, so the pair path takes both schedules).
+// carry distinct round keys, so the pair path takes both schedules);
+// class 0 is RandomBatch.
 func (s *SimonScenario) SampleBatch(r *prng.Rand, class int, dst []uint64) {
 	if class == 0 {
-		dst[0] = r.Uint64() & 0xffffffff
+		s.RandomBatch(r, dst)
 		return
 	}
 	k := simon.Key{r.Uint16(), r.Uint16(), r.Uint16(), r.Uint16()}
@@ -224,11 +230,16 @@ func (s *SimeckScenario) RandomSample(r *prng.Rand) []float64 {
 	return bits.ToFloats(make([]float64, 0, 32), r.Bytes(4))
 }
 
+// RandomBatch is the packed fast path of RandomSample.
+func (s *SimeckScenario) RandomBatch(r *prng.Rand, dst []uint64) {
+	randomBatch(r, dst, s.FeatureLen())
+}
+
 // SampleBatch is the packed fast path of Sample: same draws, same bits,
-// no allocation.
+// no allocation; class 0 is RandomBatch.
 func (s *SimeckScenario) SampleBatch(r *prng.Rand, class int, dst []uint64) {
 	if class == 0 {
-		dst[0] = r.Uint64() & 0xffffffff
+		s.RandomBatch(r, dst)
 		return
 	}
 	k := simeck.Key{r.Uint16(), r.Uint16(), r.Uint16(), r.Uint16()}
@@ -299,16 +310,19 @@ func (s *ChaskeyScenario) RandomSample(r *prng.Rand) []float64 {
 	return bits.ToFloats(make([]float64, 0, s.FeatureLen()), r.Bytes(chaskey.StateBytes))
 }
 
+// RandomBatch is the packed fast path of RandomSample.
+func (s *ChaskeyScenario) RandomBatch(r *prng.Rand, dst []uint64) {
+	randomBatch(r, dst, s.FeatureLen())
+}
+
 // SampleBatch is the packed fast path of Sample: same draws, same bits,
 // no allocation. The state serializes little-endian word by word, and
 // the packed-row layout is little-endian bit order, so state word w of
 // the XOR lands in half-word w of dst unchanged (the packRateDiff
-// argument); class 0's sixteen random bytes are two generator outputs
-// exactly as Bytes(16) lays them out.
+// argument); class 0 is RandomBatch.
 func (s *ChaskeyScenario) SampleBatch(r *prng.Rand, class int, dst []uint64) {
 	if class == 0 {
-		dst[0] = r.Uint64()
-		dst[1] = r.Uint64()
+		s.RandomBatch(r, dst)
 		return
 	}
 	v := chaskey.State{r.Uint32(), r.Uint32(), r.Uint32(), r.Uint32()}

@@ -137,27 +137,27 @@ func (c *NNClassifier) PredictBatch(x [][]float64) []int {
 }
 
 // PredictDataset is PredictBatch fed straight from the packed backing
-// store: each chunk's input matrix is filled with SetRowBits instead of
-// copying materialized float rows, so scoring a dataset never builds
-// the [][]float64 view. Predictions are bitwise those of PredictBatch
-// on the Rows() view.
+// store: each chunk of packed rows goes to nn.Predictor.PredictBitsInto,
+// which runs the first Dense layer as a gather-add over the set bits,
+// so scoring a dataset never builds a float row. Predictions are
+// bitwise those of PredictBatch on the Rows() view.
 func (c *NNClassifier) PredictDataset(d *Dataset) []int {
 	n := d.Len()
 	if n == 0 {
 		return nil
 	}
+	if d.FeatureLen() != c.Net.InDim() {
+		panic(fmt.Sprintf("core: dataset has %d features, network expects %d", d.FeatureLen(), c.Net.InDim()))
+	}
 	c.ensurePredictor()
+	words := d.WordsPerRow()
 	out := make([]int, n)
 	for lo := 0; lo < n; lo += predictChunk {
 		hi := lo + predictChunk
 		if hi > n {
 			hi = n
 		}
-		in := c.ensureInput(hi-lo, d.FeatureLen())
-		for i := lo; i < hi; i++ {
-			in.SetRowBits(i-lo, d.Packed(i))
-		}
-		c.outBuf = c.pred.PredictInto(c.outBuf, in)
+		c.outBuf = c.pred.PredictBitsInto(c.outBuf, d.bits[lo*words:hi*words], hi-lo, words)
 		copy(out[lo:hi], c.outBuf)
 	}
 	return out

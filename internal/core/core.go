@@ -49,17 +49,25 @@ type Scenario interface {
 }
 
 // BatchScenario is the packed fast path of Scenario: SampleBatch is
-// Sample with the float materialization stripped out. It must write
-// exactly the bits Sample would return — bit i of the feature vector
-// at bit i%64 of dst[i/64] (the bits.PackFloats layout) — and must
-// consume exactly the same generator outputs as Sample, so the two
-// paths are interchangeable row by row (testkit.CheckScenario enforces
-// both). dst has FeatureLen()/64 words, rounded up.
+// Sample, and RandomBatch is RandomSample, with the float
+// materialization stripped out. Each must write exactly the bits its
+// float counterpart would return — bit i of the feature vector at bit
+// i%64 of dst[i/64] (the bits.PackFloats layout), every word of dst
+// overwritten — and must consume exactly the same generator outputs,
+// so the two paths are interchangeable row by row (testkit.CheckScenario
+// enforces both). dst has FeatureLen()/64 words, rounded up.
+//
+// Dataset generation draws training rows through SampleBatch, and
+// Distinguish draws the online phase's CipherOracle and RandomOracle
+// queries through SampleBatch and RandomBatch, scoring them packed.
 type BatchScenario interface {
 	Scenario
 	// SampleBatch writes one packed cipher sample for the class into dst
 	// without allocating.
 	SampleBatch(r *prng.Rand, class int, dst []uint64)
+	// RandomBatch writes one packed random-oracle sample into dst
+	// without allocating.
+	RandomBatch(r *prng.Rand, dst []uint64)
 }
 
 // QuadScenario additionally samples four rows at once — the width of

@@ -111,6 +111,28 @@ func packRateDiff(a, b *gimli.State, dst []uint64) {
 	dst[1] = uint64(a[2]^b[2]) | uint64(a[3]^b[3])<<32
 }
 
+// randomBatch is every BatchScenario's RandomBatch: the packed form of
+// bits.ToFloats(r.Bytes(feat/8)), the uniform difference each
+// RandomSample returns. Fill lays each generator output out
+// little-endian and the packed layout is little-endian bit order, so
+// output w is packed word w unchanged; a trailing partial word keeps
+// only the bytes Fill would use. feat must be a multiple of 8.
+func randomBatch(r *prng.Rand, dst []uint64, feat int) {
+	n := feat / 8
+	w := 0
+	for ; 8*w+8 <= n; w++ {
+		dst[w] = r.Uint64()
+	}
+	if rem := n - 8*w; rem > 0 {
+		dst[w] = r.Uint64() & (1<<(8*uint(rem)) - 1)
+	}
+}
+
+// RandomBatch is the packed fast path of RandomSample.
+func (s *GimliHashScenario) RandomBatch(r *prng.Rand, dst []uint64) {
+	randomBatch(r, dst, s.FeatureLen())
+}
+
 // SampleBatch is the packed fast path of Sample: same draws, same bits,
 // no allocation.
 func (s *GimliHashScenario) SampleBatch(r *prng.Rand, class int, dst []uint64) {
@@ -217,6 +239,11 @@ func (s *GimliCipherScenario) statePair(r *prng.Rand, class int, a, b *gimli.Sta
 	b.XORBytes(s.Deltas[class]) // 16 bytes: flips only the nonce part
 }
 
+// RandomBatch is the packed fast path of RandomSample.
+func (s *GimliCipherScenario) RandomBatch(r *prng.Rand, dst []uint64) {
+	randomBatch(r, dst, s.FeatureLen())
+}
+
 // SampleBatch is the packed fast path of Sample: same draws, same bits,
 // no allocation.
 func (s *GimliCipherScenario) SampleBatch(r *prng.Rand, class int, dst []uint64) {
@@ -288,14 +315,17 @@ func (s *SpeckScenario) RandomSample(r *prng.Rand) []float64 {
 	return bits.ToFloats(make([]float64, 0, 32), r.Bytes(4))
 }
 
+// RandomBatch is the packed fast path of RandomSample.
+func (s *SpeckScenario) RandomBatch(r *prng.Rand, dst []uint64) {
+	randomBatch(r, dst, s.FeatureLen())
+}
+
 // SampleBatch is the packed fast path of Sample: same draws, same bits,
 // no allocation. Class 1 re-keys a stack Cipher and encrypts the
-// plaintext pair in one interleaved pass; class 0's four random bytes
-// are the low half of one generator output, exactly as Bytes(4) lays
-// them out.
+// plaintext pair in one interleaved pass; class 0 is RandomBatch.
 func (s *SpeckScenario) SampleBatch(r *prng.Rand, class int, dst []uint64) {
 	if class == 0 {
-		dst[0] = r.Uint64() & 0xffffffff
+		s.RandomBatch(r, dst)
 		return
 	}
 	var c speck.Cipher

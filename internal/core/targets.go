@@ -68,13 +68,21 @@ func (s *Gift64Scenario) Sample(r *prng.Rand, class int) []float64 {
 // RandomSample returns a uniform 64-bit difference.
 func (s *Gift64Scenario) RandomSample(r *prng.Rand) []float64 { return uint64Bits(r.Uint64()) }
 
+// RandomBatch is the packed fast path of RandomSample: uint64Bits of
+// one generator output is the packed form of the eight bytes Fill
+// would lay out from it.
+func (s *Gift64Scenario) RandomBatch(r *prng.Rand, dst []uint64) {
+	randomBatch(r, dst, s.FeatureLen())
+}
+
 // SampleBatch is the packed fast path of Sample: same draws, same bits,
 // no allocation. The 64 feature bits of uint64Bits are exactly the
 // packed-row layout, so the state difference is the row word; class 1
-// re-keys one stack cipher via the in-place Expand.
+// re-keys one stack cipher via the in-place Expand, and class 0 is
+// RandomBatch.
 func (s *Gift64Scenario) SampleBatch(r *prng.Rand, class int, dst []uint64) {
 	if class == 0 {
-		dst[0] = r.Uint64()
+		s.RandomBatch(r, dst)
 		return
 	}
 	var c gift.Cipher64

@@ -70,3 +70,40 @@ func FuzzSaveLoadRoundTrip(f *testing.F) {
 		}
 	})
 }
+
+// FuzzPredictBits: for arbitrary packed rows and small shapes, the
+// bit-driven PredictBitsInto must reproduce SetRowBits + PredictInto
+// to the last bit of every logit, with the AVX2 kernels on and off.
+func FuzzPredictBits(f *testing.F) {
+	f.Add(uint8(64), uint8(7), uint8(2), uint8(0), uint64(1), []byte("\xff\x00\x0f\xf0\xaa\x55\x01\x80"))
+	f.Add(uint8(65), uint8(4), uint8(3), uint8(5), uint64(2), make([]byte, 48))
+	f.Fuzz(func(t *testing.T, inRaw, hiddenRaw, classesRaw, actRaw uint8, seed uint64, data []byte) {
+		in := int(inRaw)%200 + 1
+		hidden := int(hiddenRaw)%20 + 1
+		classes := int(classesRaw)%4 + 2
+		r := prng.New(seed)
+		var layers []Layer
+		layers = append(layers, NewDense(in, hidden, r))
+		if act := ActKind(actRaw % 5); act <= Tanh { // 4: no activation
+			layers = append(layers, NewActivation(act, hidden))
+		}
+		layers = append(layers, NewDense(hidden, classes, r))
+		net, err := NewNetwork(layers...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wpr := (in+63)/64 + int(actRaw>>7)
+		rows := len(data) / (8 * wpr)
+		if rows > 64 {
+			rows = 64
+		}
+		packed := make([]uint64, rows*wpr)
+		for i := range packed {
+			for b := 0; b < 8; b++ {
+				packed[i] |= uint64(data[8*i+b]) << (8 * b)
+			}
+		}
+		checkPredictBits(t, "fuzz", net, packed, rows, wpr)
+		forceScalarMul(func() { checkPredictBits(t, "fuzz scalar", net, packed, rows, wpr) })
+	})
+}

@@ -17,6 +17,29 @@ func axpy2AVX2(o, b0, b1 *float64, a0, a1 float64, m4 int)
 //go:noescape
 func axpy1AVX2(o, b0 *float64, a0 float64, m4 int)
 
+// addRowPairAccel runs addRowPair's aligned prefix (the first
+// len(o)&^3 elements) through axpy2AVX2 at a0 = a1 = 1, where each
+// multiply is exact, and returns how many elements it covered: 0 when
+// the AVX2 kernels are off.
+func addRowPairAccel(o, b0, b1 []float64) int {
+	m4 := len(o) &^ 3
+	if !useMulAVX2 || m4 == 0 {
+		return 0
+	}
+	axpy2AVX2(&o[0], &b0[0], &b1[0], 1, 1, m4)
+	return m4
+}
+
+// addRowAccel is addRowPairAccel for a single row, through axpy1AVX2.
+func addRowAccel(o, b0 []float64) int {
+	m4 := len(o) &^ 3
+	if !useMulAVX2 || m4 == 0 {
+		return 0
+	}
+	axpy1AVX2(&o[0], &b0[0], 1, m4)
+	return m4
+}
+
 // mulNTRangeAccel computes rows [lo, hi) of A·Bᵀ with the 2×2
 // register-tiled AVX2 dot kernel. Each output element's value is
 // assembled exactly as the scalar path's: four stride-4 partials

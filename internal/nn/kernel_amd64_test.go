@@ -3,32 +3,10 @@
 package nn
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/prng"
 )
-
-// forceScalarMul runs fn with the AVX2 kernels disabled.
-func forceScalarMul(fn func()) {
-	saved := useMulAVX2
-	useMulAVX2 = false
-	defer func() { useMulAVX2 = saved }()
-	fn()
-}
-
-func matricesBitIdentical(t *testing.T, what string, got, want *Matrix) {
-	t.Helper()
-	if got.Rows != want.Rows || got.Cols != want.Cols {
-		t.Fatalf("%s: shape %d×%d, want %d×%d", what, got.Rows, got.Cols, want.Rows, want.Cols)
-	}
-	for i := range got.Data {
-		if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
-			t.Fatalf("%s: element %d = %x, scalar %x", what,
-				i, math.Float64bits(got.Data[i]), math.Float64bits(want.Data[i]))
-		}
-	}
-}
 
 // TestMulNTAVX2BitIdentical: the register-tiled AVX2 MulNT kernel must
 // reproduce the scalar kernel to the last bit at ragged shapes (odd

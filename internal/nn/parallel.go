@@ -124,6 +124,11 @@ func (n *Network) shardedFitState(bs, cols, workers int) *fitState {
 			}
 			layers[i] = cl
 		}
+		// Layer 0's input gradient would be dL/dx of the data itself,
+		// which nothing reads.
+		if d, ok := layers[0].(*Dense); ok {
+			d.noDX = true
+		}
 		var ps []*Param
 		var pls []positional
 		for _, l := range layers {
@@ -319,6 +324,7 @@ func (st *fitState) runShard(w, v int) {
 type Predictor struct {
 	net    *Network
 	layers []Layer // nil: fall back to the allocating path (LSTM)
+	in     *Matrix // PredictBitsInto's expanded input, when it needs one
 }
 
 // NewPredictor builds a Predictor for the network. Networks with
@@ -344,20 +350,30 @@ func (n *Network) NewPredictor() *Predictor {
 // resulting slice. Steady-state calls with a recycled dst and a stable
 // chunk shape perform no allocations.
 func (p *Predictor) PredictInto(dst []int, x *Matrix) []int {
-	if cap(dst) < x.Rows {
-		dst = make([]int, x.Rows)
-	}
-	dst = dst[:x.Rows]
+	return argmaxInto(dst, p.forward(x))
+}
+
+// forward returns the logits of x.
+func (p *Predictor) forward(x *Matrix) *Matrix {
 	if p.layers == nil {
-		copy(dst, p.net.Predict(x))
-		return dst
+		return p.net.Forward(x, false)
 	}
 	out := x
 	for _, l := range p.layers {
 		out = l.Forward(out, false)
 	}
+	return out
+}
+
+// argmaxInto writes the argmax class of each row of logits into dst,
+// growing it only if its capacity is insufficient.
+func argmaxInto(dst []int, logits *Matrix) []int {
+	if cap(dst) < logits.Rows {
+		dst = make([]int, logits.Rows)
+	}
+	dst = dst[:logits.Rows]
 	for i := range dst {
-		dst[i] = Argmax(out.Row(i))
+		dst[i] = Argmax(logits.Row(i))
 	}
 	return dst
 }

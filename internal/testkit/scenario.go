@@ -50,10 +50,11 @@ func ScenarioDraws(s core.Scenario) Gen[ScenarioDraw] {
 // printed counterexample.
 //
 // When s also implements core.BatchScenario, its packed SampleBatch
-// fast path is held to that interface's contract on every class draw:
-// from an identical generator it must produce exactly the bits of
-// Sample, consume exactly as much generator state, and leave the
-// trailing bits of the last packed word zero.
+// and RandomBatch fast paths are held to that interface's contract on
+// every class and random draw respectively: from an identical
+// generator each must produce exactly the bits of Sample (RandomSample),
+// consume exactly as much generator state, and leave the trailing bits
+// of the last packed word zero.
 //
 // When s also implements core.RelatedKeyScenario, its declared
 // generator layout is audited on every class draw: Sample must consume
@@ -84,23 +85,32 @@ func CheckScenario(t T, s core.Scenario, cfg Config) *Failure[ScenarioDraw] {
 				return fmt.Errorf("feature %d is %v, want 0 or 1", i, x)
 			}
 		}
-		if bs == nil || d.Class == s.Classes() {
+		if bs == nil {
 			return nil
 		}
 		rb := prng.NewStream(d.Seed, 0)
 		for i := range packed {
-			packed[i] = ^uint64(0) // dirty: SampleBatch must overwrite fully
+			packed[i] = ^uint64(0) // dirty: the packed path must overwrite fully
 		}
-		bs.SampleBatch(rb, d.Class, packed)
+		method, float := "SampleBatch", "Sample"
+		if d.Class == s.Classes() {
+			method, float = "RandomBatch", "RandomSample"
+			bs.RandomBatch(rb, packed)
+		} else {
+			bs.SampleBatch(rb, d.Class, packed)
+		}
 		bits.PackFloats(want, vec)
 		for i := range packed {
 			if packed[i] != want[i] {
-				return fmt.Errorf("SampleBatch word %d is %#x, Sample packs to %#x", i, packed[i], want[i])
+				return fmt.Errorf("%s word %d is %#x, %s packs to %#x", method, i, packed[i], float, want[i])
 			}
 		}
 		probe := r.Uint64()
 		if probe != rb.Uint64() {
-			return fmt.Errorf("SampleBatch consumed different generator state than Sample")
+			return fmt.Errorf("%s consumed different generator state than %s", method, float)
+		}
+		if d.Class == s.Classes() {
+			return nil
 		}
 		if rk != nil {
 			declared := rk.DrawWords(d.Class)

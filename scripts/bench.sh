@@ -58,7 +58,8 @@ PREV="$(ls BENCH_*.json 2>/dev/null | grep -v "^${OUT}\$" | sort | tail -1 || tr
 TMP="$(mktemp)"
 trap 'rm -f "$TMP"' EXIT
 
-# Root package: dataset generation, batched inference, matrix kernels.
+# Root package: dataset generation, batched inference, matrix kernels,
+# the online phase (BenchmarkOracleGameOnline).
 # internal/nn: the training engine (BenchmarkFit) and kernel micro-benchmarks.
 # internal/gimli + internal/speck + internal/simon + internal/simeck +
 # internal/chaskey + internal/gift: the scalar and interleaved cipher
@@ -71,7 +72,7 @@ trap 'rm -f "$TMP"' EXIT
 go test . ./internal/nn/ ./internal/gimli/ ./internal/speck/ ./internal/simon/ \
     ./internal/simeck/ ./internal/chaskey/ ./internal/gift/ ./internal/serve/ \
     ./internal/ledger/ ./internal/cluster/ -run '^$' \
-    -bench 'Fit|GenerateDataset|PredictBatch|MatMul|Mul128|PermuteRounds|SpeckEncrypt|SimonEncrypt|SimeckEncrypt|ChaskeyPermute|Gift64Encrypt|ServeClassify|LedgerAppend|RouterClassify' \
+    -bench 'Fit|GenerateDataset|PredictBatch|OracleGameOnline|MatMul|Mul128|PermuteRounds|SpeckEncrypt|SimonEncrypt|SimeckEncrypt|ChaskeyPermute|Gift64Encrypt|ServeClassify|LedgerAppend|RouterClassify' \
     -benchtime "$BENCHTIME" -benchmem -count "$COUNT" | tee "$TMP"
 
 # Scaling pass: the sharded hot paths again at GOMAXPROCS>1.
