@@ -455,3 +455,25 @@ func BenchmarkPredictMLPIII(b *testing.B) {
 		net.Predict(x)
 	}
 }
+
+// TestReluBitsMatchesBranch: the branch-free ReLU must agree bit for
+// bit with v > 0 ? v : 0, at the special values too (NaN and −0 give
+// +0).
+func TestReluBitsMatchesBranch(t *testing.T) {
+	vals := []float64{0, math.Copysign(0, -1), 1, -1, math.Inf(1), math.Inf(-1), math.NaN(),
+		math.Float64frombits(0x7ff0000000000001), math.Float64frombits(0xfff0000000000001),
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, math.MaxFloat64, -math.MaxFloat64}
+	r := prng.New(4)
+	for i := 0; i < 1000; i++ {
+		vals = append(vals, math.Float64frombits(r.Uint64()))
+	}
+	for _, v := range vals {
+		want := 0.0
+		if v > 0 {
+			want = v
+		}
+		if got := reluBits(v); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("reluBits(%x) = %x, want %x", math.Float64bits(v), math.Float64bits(got), math.Float64bits(want))
+		}
+	}
+}
