@@ -191,7 +191,6 @@ var (
 	_ Classifier        = (*svm.Logistic)(nil)
 	_ DatasetClassifier = (*NNClassifier)(nil)
 	_ Classifier        = (*BitBiasClassifier)(nil)
-	_ Classifier        = Batched{}
 )
 
 // BitBiasClassifier is a non-ML analytic baseline: it estimates the

@@ -132,8 +132,7 @@ type DatasetClassifier interface {
 // evaluation loops always go through it, so implementations with a
 // vectorized forward pass (the neural networks) amortize per-call
 // overhead across the whole batch. Implementations that only have a
-// per-sample rule can delegate to PredictEach, or wrap a
-// Predict-only model in Batched.
+// per-sample rule can delegate to PredictEach.
 type Classifier interface {
 	Name() string
 	Fit(x [][]float64, y []int) error
@@ -156,31 +155,6 @@ func PredictEach(p Predictor, x [][]float64) []int {
 	}
 	return out
 }
-
-// SingleClassifier is a classifier that only knows how to score one
-// sample at a time (the pre-batching Classifier interface).
-type SingleClassifier interface {
-	Name() string
-	Fit(x [][]float64, y []int) error
-	Predict(x []float64) int
-}
-
-// Batched lifts a Predict-only classifier to the full Classifier
-// interface by looping, so user-provided models keep working without
-// implementing a batch path themselves.
-type Batched struct{ C SingleClassifier }
-
-// Name identifies the wrapped classifier.
-func (b Batched) Name() string { return b.C.Name() }
-
-// Fit delegates to the wrapped classifier.
-func (b Batched) Fit(x [][]float64, y []int) error { return b.C.Fit(x, y) }
-
-// Predict delegates to the wrapped classifier.
-func (b Batched) Predict(x []float64) int { return b.C.Predict(x) }
-
-// PredictBatch loops Predict over the batch.
-func (b Batched) PredictBatch(x [][]float64) []int { return PredictEach(b.C, x) }
 
 // Oracle answers online-phase queries: given a class index, it returns
 // the output-difference features the attacker would compute from its

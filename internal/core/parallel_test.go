@@ -219,34 +219,6 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 	}
 }
 
-// TestBatchedAdapter checks the Predict-only adapter path.
-func TestBatchedAdapter(t *testing.T) {
-	s, err := NewSpeckScenario(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bb, err := NewBitBiasClassifier(s.FeatureLen(), s.Classes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var c Classifier = Batched{C: bb}
-	if c.Name() != bb.Name() {
-		t.Fatalf("adapter name %q", c.Name())
-	}
-	r := prng.New(6)
-	train := GenerateDataset(s, 64, r)
-	if err := c.Fit(train.Rows(), train.Y); err != nil {
-		t.Fatal(err)
-	}
-	probe := GenerateDataset(s, 16, r)
-	batch := c.PredictBatch(probe.Rows())
-	for i, x := range probe.Rows() {
-		if c.Predict(x) != batch[i] {
-			t.Fatalf("adapter batch/serial disagree at %d", i)
-		}
-	}
-}
-
 // TestFitParallelDeterminism is the training-engine counterpart of
 // TestGenerateDatasetParallelDeterminism: for a Gimli and a Speck
 // scenario, an NNClassifier trained at 1, 4 and 7 workers must end with

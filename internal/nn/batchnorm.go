@@ -39,8 +39,8 @@ type BatchNorm struct {
 // BatchNorm deliberately does not implement cloneForTrain: its
 // train-mode statistics couple every row of the mini-batch, so a
 // sharded forward pass would compute different normalizations than a
-// serial one. Networks containing it train on the legacy whole-batch
-// path (see Network.Fit). Inference normalizes row-wise with running
+// serial one. Networks containing it train as one whole-batch shard
+// (see fitStateFor). Inference normalizes row-wise with running
 // statistics, so cloneForEval below is still available to Predictor.
 func (b *BatchNorm) cloneForEval() Layer {
 	return &BatchNorm{

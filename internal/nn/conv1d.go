@@ -159,13 +159,13 @@ func (c *Conv1D) Backward(grad *Matrix) *Matrix {
 // but owning caches and (engine-bound) gradient buffers. The backward
 // pass is already sample-sequential, so a replica processing one shard
 // accumulates exactly the chain a serial pass over that shard would.
-func (c *Conv1D) cloneForTrain(seq bool) Layer {
+func (c *Conv1D) cloneForTrain() Layer {
 	return &Conv1D{
 		SeqLen: c.SeqLen, InCh: c.InCh, Filters: c.Filters, Kernel: c.Kernel,
 		w:           &Param{Name: c.w.Name, W: c.w.W},
 		b:           &Param{Name: c.b.Name, W: c.b.W},
 		scratchEval: true,
-		seq:         seq,
+		seq:         true,
 	}
 }
 

@@ -22,8 +22,9 @@ type Dropout struct {
 	// construction GenerateDatasetParallel uses — any sharding of the
 	// batch across training-engine workers draws exactly the same
 	// masks as a serial pass. step auto-increments per training
-	// forward; the engine overrides it (setPos) so every shard of one
-	// mini-batch shares the step coordinate.
+	// forward; the engine overrides it (setPos) on training replicas
+	// so every shard of one mini-batch shares the step coordinate. A
+	// network trained as one whole-batch shard keeps the auto-increment.
 	seed   uint64
 	step   uint64
 	rowOff int
@@ -112,7 +113,7 @@ func (d *Dropout) Backward(grad *Matrix) *Matrix {
 
 // cloneForTrain returns a training replica sharing the positional mask
 // seed, so replicated shards reproduce the serial draws exactly.
-func (d *Dropout) cloneForTrain(bool) Layer {
+func (d *Dropout) cloneForTrain() Layer {
 	return &Dropout{P: d.P, Dim: d.Dim, seed: d.seed}
 }
 

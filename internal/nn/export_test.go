@@ -10,6 +10,12 @@ const FitShards = fitShards
 // ReduceGradTree exposes the fixed-order gradient tree reduction.
 func ReduceGradTree(grads [][][]float64) { reduceGradTree(grads) }
 
-// HasShardedFitState reports whether the last Fit call trained through
-// the sharded engine (false: legacy whole-batch path).
-func (n *Network) HasShardedFitState() bool { return n.fit != nil }
+// FitShardCount reports how many shards the last Fit call cut each
+// mini-batch into: FitShards, or 1 for a network trained as one
+// whole-batch shard (0 before any Fit call).
+func (n *Network) FitShardCount() int {
+	if n.fit == nil {
+		return 0
+	}
+	return n.fit.shards
+}

@@ -90,6 +90,12 @@ func (l *LSTM) ParamCount() int {
 	return 4 * l.Hidden * (l.In + l.Hidden + 1)
 }
 
+// cloneForEval returns an inference replica sharing the weights.
+// Inference writes no layer state, so the replica is a bare shell.
+func (l *LSTM) cloneForEval() Layer {
+	return &LSTM{SeqLen: l.SeqLen, In: l.In, Hidden: l.Hidden, ReturnSeq: l.ReturnSeq, wx: l.wx, wh: l.wh, b: l.b}
+}
+
 func sigmoid(v float64) float64 { return 1 / (1 + math.Exp(-v)) }
 
 // Forward runs the sequence and returns the final hidden state.

@@ -12,7 +12,7 @@ import (
 // cross-entropy. The last layer's OutDim is the class count.
 type Network struct {
 	layers []Layer
-	fit    *fitState // cached sharded training engine (see parallel.go)
+	fit    *fitState // cached training engine (see parallel.go)
 }
 
 // NewNetwork validates that consecutive layer dimensions chain and
@@ -132,7 +132,8 @@ type FitConfig struct {
 	// engine's canonical shard count (8) are clamped. Training results
 	// are byte-identical at every worker count — see parallel.go.
 	// Networks containing batch-coupled layers (BatchNorm, LSTM) ignore
-	// this and train on the serial whole-batch path.
+	// this: the engine runs each of their mini-batches as one
+	// whole-batch shard.
 	Workers int
 }
 
@@ -143,7 +144,8 @@ type History struct {
 }
 
 // Fit trains the network with mini-batch gradient descent. x rows are
-// samples, y the integer class labels.
+// samples, y the integer class labels. Every mini-batch runs through
+// the deterministic engine in parallel.go.
 func (n *Network) Fit(x *Matrix, y []int, cfg FitConfig) (*History, error) {
 	if x.Rows != len(y) {
 		return nil, fmt.Errorf("nn: %d samples but %d labels", x.Rows, len(y))
@@ -191,17 +193,7 @@ func (n *Network) Fit(x *Matrix, y []int, cfg FitConfig) (*History, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if st := n.shardedFitState(bs, x.Cols, workers); st != nil {
-		return n.fitSharded(st, x, y, order, bs, opt, r, cfg)
-	}
-	return n.fitWholeBatch(x, y, order, bs, opt, r, cfg)
-}
-
-// fitSharded is the data-parallel deterministic training loop: every
-// mini-batch is processed by the canonical shard engine in parallel.go,
-// so results are byte-identical at any worker count and the steady
-// state allocates nothing.
-func (n *Network) fitSharded(st *fitState, x *Matrix, y []int, order []int, bs int, opt Optimizer, r *prng.Rand, cfg FitConfig) (*History, error) {
+	st := n.fitStateFor(bs, x.Cols, workers)
 	params := st.netParams
 	hist := &History{}
 	st.startPool()
@@ -224,97 +216,6 @@ func (n *Network) fitSharded(st *fitState, x *Matrix, y []int, order []int, bs i
 			opt.Step(params)
 			totalLoss += lossSum
 			totalHit += hits
-			seen += m
-		}
-		epochLoss := totalLoss / float64(seen)
-		epochAcc := float64(totalHit) / float64(seen)
-		hist.Loss = append(hist.Loss, epochLoss)
-		hist.Acc = append(hist.Acc, epochAcc)
-		if cfg.OnEpoch != nil {
-			cfg.OnEpoch(epoch, epochLoss, epochAcc)
-		}
-	}
-	return hist, nil
-}
-
-// fitWholeBatch is the legacy serial training loop, kept for networks
-// whose train-mode forward pass couples rows across the whole batch
-// (BatchNorm, LSTM) and therefore cannot be sharded. Its numerics are
-// bit-for-bit those of the historical Fit implementation; the scratch
-// buffers below only remove per-step allocations.
-func (n *Network) fitWholeBatch(x *Matrix, y []int, order []int, bs int, opt Optimizer, r *prng.Rand, cfg FitConfig) (*History, error) {
-	params := n.Params()
-	hist := &History{}
-	classes := n.Classes()
-
-	bx := NewMatrix(bs, x.Cols)
-	by := make([]int, bs)
-	// The trailing partial batch has the same size every epoch; keep a
-	// second scratch pair for it instead of reallocating per epoch.
-	var pbx *Matrix
-	var pby []int
-	if rem := x.Rows % bs; rem != 0 {
-		pbx = NewMatrix(rem, x.Cols)
-		pby = make([]int, rem)
-	}
-	// One probability matrix serves both batch shapes: ensureMatrix
-	// reslices it down for the trailing partial batch.
-	probs := NewMatrix(bs, classes)
-
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		if cfg.LRSchedule != nil {
-			opt.(LRScheduler).SetLR(cfg.LRSchedule(epoch))
-		}
-		r.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-		totalLoss, totalHit, seen := 0.0, 0, 0
-		for start := 0; start < x.Rows; start += bs {
-			end := start + bs
-			if end > x.Rows {
-				end = x.Rows
-			}
-			m := end - start
-			batchX := bx
-			batchY := by
-			if m != bs {
-				batchX = pbx
-				batchY = pby
-			}
-			for k := 0; k < m; k++ {
-				src := order[start+k]
-				copy(batchX.Row(k), x.Row(src))
-				batchY[k] = y[src]
-			}
-
-			logits := n.Forward(batchX, true)
-			probs = ensureMatrix(probs, m, classes)
-			softmaxInto(probs, logits)
-			loss := CrossEntropy(probs, batchY)
-			// Hits must be counted before the in-place gradient below
-			// overwrites the probabilities.
-			for i := 0; i < m; i++ {
-				if Argmax(probs.Row(i)) == batchY[i] {
-					totalHit++
-				}
-			}
-			// Gradient (softmax − onehot)/m in place of the probability
-			// scratch — elementwise identical to the historical
-			// clone-then-scale SoftmaxCrossEntropyGrad.
-			inv := 1 / float64(m)
-			for i, yv := range batchY {
-				probs.Data[i*classes+yv] -= 1
-			}
-			probs.Scale(inv)
-
-			for _, p := range params {
-				p.ZeroGrad()
-			}
-			grad := probs
-			for i := len(n.layers) - 1; i >= 0; i-- {
-				grad = n.layers[i].Backward(grad)
-			}
-			opt.Step(params)
-
-			totalLoss += loss * float64(m)
 			seen += m
 		}
 		epochLoss := totalLoss / float64(seen)

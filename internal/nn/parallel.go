@@ -30,6 +30,13 @@ import (
 // result lands in a shard-indexed slot, so which worker computed what —
 // and in which order shards complete — cannot affect a single bit of
 // the output. One worker replays the identical computation serially.
+//
+// A network whose train-mode forward couples rows across the batch
+// (BatchNorm statistics, LSTM's unreplicated BPTT caches) cannot be
+// cut into shards. It runs through the same engine as one whole-batch
+// shard: one worker, whose "replica" is the network's own layer stack
+// and whose shard-0 gradient slot is the network's own Grad buffers.
+// Such networks ignore the worker count.
 
 // fitShards is the canonical number of virtual shards each mini-batch
 // is cut into. It bounds both the useful training parallelism and the
@@ -41,17 +48,37 @@ const fitShards = 8
 
 // trainCloner is implemented by layers that can replicate themselves
 // for sharded training: the replica shares weight slices with the
-// original but owns caches and (engine-bound) gradient buffers.
-// cloneForTrain returns nil when a particular instance cannot be
-// replicated (e.g. a Residual whose body contains BatchNorm).
+// original but owns caches and (engine-bound) gradient buffers, and
+// runs the single-goroutine kernels. cloneForTrain returns nil when a
+// particular instance cannot be replicated (a Residual whose body
+// contains BatchNorm).
 type trainCloner interface {
-	cloneForTrain(seq bool) Layer
+	cloneForTrain() Layer
 }
 
-// evalCloner is implemented by layers that can replicate themselves for
-// scratch-reusing batched inference.
-type evalCloner interface {
-	cloneForEval() Layer
+// cloneTrainStack replicates layers for training, or returns nil when
+// any of them cannot be replicated.
+func cloneTrainStack(layers []Layer) []Layer {
+	out := make([]Layer, len(layers))
+	for i, l := range layers {
+		tc, ok := l.(trainCloner)
+		if !ok {
+			return nil
+		}
+		if out[i] = tc.cloneForTrain(); out[i] == nil {
+			return nil
+		}
+	}
+	return out
+}
+
+// cloneEvalStack replicates layers for inference.
+func cloneEvalStack(layers []Layer) []Layer {
+	out := make([]Layer, len(layers))
+	for i, l := range layers {
+		out[i] = l.cloneForEval()
+	}
+	return out
 }
 
 // positional is implemented by layers whose training-time randomness is
@@ -66,6 +93,7 @@ type positional interface {
 // step after the first — run with zero steady-state allocations.
 type fitState struct {
 	bs, cols, classes, workers int
+	shards                     int // fitShards, or 1 for a batch-coupled network
 
 	clones [][]Layer      // [worker][layer] training replicas
 	params [][]*Param     // [worker][param], aligned with netParams
@@ -92,50 +120,38 @@ type fitState struct {
 	wg      sync.WaitGroup
 }
 
-// shardedFitState returns the cached or freshly built engine for this
-// network, or nil when the network cannot be sharded (it contains a
-// batch-coupled or non-replicable layer: BatchNorm couples train-mode
-// statistics across the whole batch, and LSTM's BPTT caches are not
-// replicated). Those networks train on the legacy whole-batch path,
-// which ignores the worker count but remains deterministic.
-func (n *Network) shardedFitState(bs, cols, workers int) *fitState {
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > fitShards {
-		workers = fitShards
-	}
-	if st := n.fit; st != nil && st.bs == bs && st.cols == cols && st.workers == workers {
+// fitStateFor returns the cached or freshly built engine for this
+// network. A network that cannot be replicated gets a one-shard state
+// on its own layers. Those layers are left as they are: their Dropout
+// keeps its auto-incrementing step (so a second Fit call draws fresh
+// masks) and the first Dense layer keeps computing its input gradient.
+func (n *Network) fitStateFor(bs, cols, workers int) *fitState {
+	workers = max(1, min(workers, fitShards))
+	if st := n.fit; st != nil && st.bs == bs && st.cols == cols && st.workers == min(workers, st.shards) {
 		return st
 	}
-	st := &fitState{bs: bs, cols: cols, classes: n.Classes(), workers: workers}
+	st := &fitState{bs: bs, cols: cols, classes: n.Classes(), workers: workers, shards: fitShards}
 	st.netParams = n.Params()
-	maxRows := (bs + fitShards - 1) / fitShards
-	for w := 0; w < workers; w++ {
-		layers := make([]Layer, len(n.layers))
-		for i, l := range n.layers {
-			tc, ok := l.(trainCloner)
-			if !ok {
-				return nil
+	for w := 0; w < st.workers; w++ {
+		layers := cloneTrainStack(n.layers)
+		var pls []positional
+		if layers == nil {
+			layers, st.shards, st.workers = n.layers, 1, 1
+		} else {
+			// Layer 0's input gradient would be dL/dx of the data
+			// itself, which nothing reads.
+			if d, ok := layers[0].(*Dense); ok {
+				d.noDX = true
 			}
-			cl := tc.cloneForTrain(true)
-			if cl == nil {
-				return nil
+			for _, l := range layers {
+				if p, ok := l.(positional); ok {
+					pls = append(pls, p)
+				}
 			}
-			layers[i] = cl
-		}
-		// Layer 0's input gradient would be dL/dx of the data itself,
-		// which nothing reads.
-		if d, ok := layers[0].(*Dense); ok {
-			d.noDX = true
 		}
 		var ps []*Param
-		var pls []positional
 		for _, l := range layers {
 			ps = append(ps, l.Params()...)
-			if p, ok := l.(positional); ok {
-				pls = append(pls, p)
-			}
 		}
 		if len(ps) != len(st.netParams) {
 			panic("nn: training replica parameter count mismatch")
@@ -143,13 +159,14 @@ func (n *Network) shardedFitState(bs, cols, workers int) *fitState {
 		st.clones = append(st.clones, layers)
 		st.params = append(st.params, ps)
 		st.pos = append(st.pos, pls)
+		maxRows := (bs + st.shards - 1) / st.shards
 		st.in = append(st.in, NewMatrix(maxRows, cols))
 		st.yb = append(st.yb, make([]int, maxRows))
 		st.probs = append(st.probs, NewMatrix(maxRows, st.classes))
 	}
-	st.grads = make([][][]float64, fitShards)
-	st.lossSum = make([]float64, fitShards)
-	st.hits = make([]int, fitShards)
+	st.grads = make([][][]float64, st.shards)
+	st.lossSum = make([]float64, st.shards)
+	st.hits = make([]int, st.shards)
 	for v := range st.grads {
 		gs := make([][]float64, len(st.netParams))
 		for pi, p := range st.netParams {
@@ -213,9 +230,14 @@ func (st *fitState) runStep(x *Matrix, y []int, order []int, start, m int, step 
 		st.runWorker(0)
 	}
 	reduceGradTree(st.grads)
-	for v := 0; v < fitShards; v++ {
+	for v := 0; v < st.shards; v++ {
 		lossSum += st.lossSum[v]
 		hits += st.hits[v]
+	}
+	if st.shards == 1 {
+		// A whole-batch step tallies its loss as the batch mean times
+		// m, the rounding TestBatchCoupledFitPinned pins in History.
+		lossSum = lossSum / float64(m) * float64(m)
 	}
 	return lossSum, hits
 }
@@ -240,7 +262,7 @@ func reduceGradTree(grads [][][]float64) {
 func (st *fitState) runWorker(w int) {
 	for {
 		v := int(atomic.AddInt64(&st.cursor, 1)) - 1
-		if v >= fitShards {
+		if v >= st.shards {
 			return
 		}
 		st.runShard(w, v)
@@ -259,8 +281,8 @@ func (st *fitState) runShard(w, v int) {
 	st.lossSum[v] = 0
 	st.hits[v] = 0
 	// Balanced contiguous shard bounds, a function of m alone.
-	lo := v * st.m / fitShards
-	hi := (v + 1) * st.m / fitShards
+	lo := v * st.m / st.shards
+	hi := (v + 1) * st.m / st.shards
 	if lo == hi {
 		return
 	}
@@ -323,26 +345,13 @@ func (st *fitState) runShard(w, v int) {
 // one per goroutine with NewPredictor.
 type Predictor struct {
 	net    *Network
-	layers []Layer // nil: fall back to the allocating path (LSTM)
+	layers []Layer // inference replicas of net's layers
 	in     *Matrix // PredictBitsInto's expanded input, when it needs one
 }
 
-// NewPredictor builds a Predictor for the network. Networks with
-// non-replicable layers (LSTM) fall back to Network.Predict internally.
+// NewPredictor builds a Predictor for the network.
 func (n *Network) NewPredictor() *Predictor {
-	layers := make([]Layer, len(n.layers))
-	for i, l := range n.layers {
-		ec, ok := l.(evalCloner)
-		if !ok {
-			return &Predictor{net: n}
-		}
-		cl := ec.cloneForEval()
-		if cl == nil {
-			return &Predictor{net: n}
-		}
-		layers[i] = cl
-	}
-	return &Predictor{net: n, layers: layers}
+	return &Predictor{net: n, layers: cloneEvalStack(n.layers)}
 }
 
 // PredictInto writes the argmax class of each row of x into dst,
@@ -355,9 +364,6 @@ func (p *Predictor) PredictInto(dst []int, x *Matrix) []int {
 
 // forward returns the logits of x.
 func (p *Predictor) forward(x *Matrix) *Matrix {
-	if p.layers == nil {
-		return p.net.Forward(x, false)
-	}
 	out := x
 	for _, l := range p.layers {
 		out = l.Forward(out, false)

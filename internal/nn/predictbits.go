@@ -40,11 +40,8 @@ func (p *Predictor) forwardBits(packed []uint64, rows, wordsPerRow int) *Matrix 
 		panic(fmt.Sprintf("nn: PredictBitsInto: %d words for %d rows of %d words, input width %d",
 			len(packed), rows, wordsPerRow, in))
 	}
-	var d *Dense
-	if p.layers != nil {
-		d, _ = p.layers[0].(*Dense)
-	}
-	if d == nil {
+	d, ok := p.layers[0].(*Dense)
+	if !ok {
 		p.in = ensureMatrix(p.in, rows, in)
 		for i := 0; i < rows; i++ {
 			p.in.SetRowBits(i, packed[i*wordsPerRow:(i+1)*wordsPerRow])

@@ -94,20 +94,12 @@ func (r *Residual) Backward(grad *Matrix) *Matrix {
 
 // cloneForTrain replicates the block if every body layer is
 // replicable; a body containing a batch-coupled layer (BatchNorm, as in
-// GohrNet) returns nil, sending the whole network to the legacy
-// serial training path.
-func (r *Residual) cloneForTrain(seq bool) Layer {
-	body := make([]Layer, len(r.Body))
-	for i, l := range r.Body {
-		tc, ok := l.(trainCloner)
-		if !ok {
-			return nil
-		}
-		cl := tc.cloneForTrain(seq)
-		if cl == nil {
-			return nil
-		}
-		body[i] = cl
+// GohrNet) returns nil, so the whole network trains as one whole-batch
+// shard.
+func (r *Residual) cloneForTrain() Layer {
+	body := cloneTrainStack(r.Body)
+	if body == nil {
+		return nil
 	}
 	return &Residual{Body: body, dim: r.dim, scratchEval: true}
 }
@@ -115,19 +107,7 @@ func (r *Residual) cloneForTrain(seq bool) Layer {
 // cloneForEval replicates the block for inference (BatchNorm bodies
 // are fine here: inference normalizes row-wise by running statistics).
 func (r *Residual) cloneForEval() Layer {
-	body := make([]Layer, len(r.Body))
-	for i, l := range r.Body {
-		ec, ok := l.(evalCloner)
-		if !ok {
-			return nil
-		}
-		cl := ec.cloneForEval()
-		if cl == nil {
-			return nil
-		}
-		body[i] = cl
-	}
-	return &Residual{Body: body, dim: r.dim, scratchEval: true}
+	return &Residual{Body: cloneEvalStack(r.Body), dim: r.dim, scratchEval: true}
 }
 
 // setPos forwards the positional mask coordinates to any dropout

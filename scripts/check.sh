@@ -27,6 +27,9 @@ cd "$(dirname "$0")/.."
 go build ./...
 go vet ./...
 go test ./...
+# e2ebench is its own module (repro/e2ebench); its wrap_test.go pins
+# core's packed paths, and ./... above does not reach it.
+(cd e2ebench && go vet ./... && go test ./...)
 go test -race ./internal/nn/... ./internal/core/...
 go test -race ./internal/serve ./internal/metrics
 go test -race ./internal/cluster ./internal/ledger
