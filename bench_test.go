@@ -16,6 +16,7 @@ package repro_test
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -198,10 +199,9 @@ func BenchmarkOracleGameOnline(b *testing.B) {
 }
 
 // BenchmarkGenerateDataset measures the offline data-generation rate —
-// the 2^17.6-sample side of the paper's complexity — serial versus
-// sharded across GOMAXPROCS workers. The two paths produce identical
-// bytes (TestGenerateDatasetParallelDeterminism); only wall-clock
-// differs.
+// the 2^17.6-sample side of the paper's complexity — on one CPU versus
+// sharded across GOMAXPROCS workers. Both produce identical bytes
+// (TestGenerateDatasetWorkerDeterminism); only wall-clock differs.
 func BenchmarkGenerateDataset(b *testing.B) {
 	s, err := core.NewGimliCipherScenario(6)
 	if err != nil {
@@ -210,6 +210,7 @@ func BenchmarkGenerateDataset(b *testing.B) {
 	const perClass = 512
 	samples := float64(perClass * s.Classes())
 	b.Run("serial", func(b *testing.B) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			core.GenerateDataset(s, perClass, prng.New(1))
@@ -219,16 +220,16 @@ func BenchmarkGenerateDataset(b *testing.B) {
 	b.Run("parallel", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			core.GenerateDatasetParallel(s, perClass, prng.New(1), 0)
+			core.GenerateDataset(s, perClass, prng.New(1))
 		}
 		b.ReportMetric(samples, "samples/op")
 	})
-	// The keyed sweep scenarios take the one-row-at-a-time SampleBatch
-	// path. The "-pair" names date from when a bitsliced path sat in
-	// front of it; they are kept so the benchmark trajectory continues.
+	// The other scenarios fill every row through SampleBatch. The
+	// "-pair" suffix is kept from earlier snapshots so the benchmark
+	// trajectory continues under the same names.
 	for _, tc := range []struct {
 		name string
-		s    core.BatchScenario
+		s    core.Scenario
 	}{
 		{name: "speck7", s: firstErr(core.NewSpeckScenario(7))},
 		{name: "simon8", s: firstErr(core.NewSimonScenario(8))},
@@ -237,6 +238,8 @@ func BenchmarkGenerateDataset(b *testing.B) {
 		{name: "simeck-rk12", s: firstErr(core.NewSimeckRKScenario(12))},
 		{name: "chaskey3", s: firstErr(core.NewChaskeyScenario(3))},
 		{name: "gift64-4", s: firstErr(core.NewGift64Scenario(4))},
+		{name: "trivium576", s: firstErr(core.NewTriviumScenario(576))},
+		{name: "salsa8", s: firstErr(core.NewSalsaScenario(8))},
 	} {
 		if tc.s == nil {
 			b.Fatalf("%s: scenario construction failed", tc.name)
@@ -253,7 +256,7 @@ func BenchmarkGenerateDataset(b *testing.B) {
 
 // firstErr collapses a (scenario, error) constructor result to nil on
 // error so table construction stays declarative.
-func firstErr[S core.BatchScenario](s S, err error) core.BatchScenario {
+func firstErr[S core.Scenario](s S, err error) core.Scenario {
 	if err != nil {
 		return nil
 	}

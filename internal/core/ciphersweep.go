@@ -114,16 +114,15 @@ func (s *SimonScenario) RandomSample(r *prng.Rand) []float64 {
 	return bits.ToFloats(make([]float64, 0, 32), r.Bytes(4))
 }
 
-// RandomBatch is the packed fast path of RandomSample.
+// RandomBatch is the packed form of RandomSample.
 func (s *SimonScenario) RandomBatch(r *prng.Rand, dst []uint64) {
 	randomBatch(r, dst, s.FeatureLen())
 }
 
-// SampleBatch is the packed fast path of Sample: same draws, same bits,
-// no allocation. Class 1 re-keys one or two stack Ciphers and encrypts
-// the plaintext pair in one interleaved pass (the related-key chains
-// carry distinct round keys, so the pair path takes both schedules);
-// class 0 is RandomBatch.
+// SampleBatch is the packed form of Sample: same draws, same bits,
+// no allocation. Class 1 re-keys one or two stack Ciphers (the
+// related-key encryption runs under K ⊕ ∇) and encrypts the plaintext
+// pair; class 0 is RandomBatch.
 func (s *SimonScenario) SampleBatch(r *prng.Rand, class int, dst []uint64) {
 	if class == 0 {
 		s.RandomBatch(r, dst)
@@ -138,8 +137,7 @@ func (s *SimonScenario) SampleBatch(r *prng.Rand, class int, dst []uint64) {
 		cb.Expand(k.XOR(s.KeyD))
 		second = &cb
 	}
-	a, b := simon.EncryptCrossPairRounds(&ca, second, p, p.XOR(s.Delta), s.Rounds)
-	d := a.XOR(b)
+	d := ca.EncryptRounds(p, s.Rounds).XOR(second.EncryptRounds(p.XOR(s.Delta), s.Rounds))
 	dst[0] = uint64(d.X) | uint64(d.Y)<<16
 }
 
@@ -230,12 +228,12 @@ func (s *SimeckScenario) RandomSample(r *prng.Rand) []float64 {
 	return bits.ToFloats(make([]float64, 0, 32), r.Bytes(4))
 }
 
-// RandomBatch is the packed fast path of RandomSample.
+// RandomBatch is the packed form of RandomSample.
 func (s *SimeckScenario) RandomBatch(r *prng.Rand, dst []uint64) {
 	randomBatch(r, dst, s.FeatureLen())
 }
 
-// SampleBatch is the packed fast path of Sample: same draws, same bits,
+// SampleBatch is the packed form of Sample: same draws, same bits,
 // no allocation; class 0 is RandomBatch.
 func (s *SimeckScenario) SampleBatch(r *prng.Rand, class int, dst []uint64) {
 	if class == 0 {
@@ -251,8 +249,7 @@ func (s *SimeckScenario) SampleBatch(r *prng.Rand, class int, dst []uint64) {
 		cb.Expand(k.XOR(s.KeyD))
 		second = &cb
 	}
-	a, b := simeck.EncryptCrossPairRounds(&ca, second, p, p.XOR(s.Delta), s.Rounds)
-	d := a.XOR(b)
+	d := ca.EncryptRounds(p, s.Rounds).XOR(second.EncryptRounds(p.XOR(s.Delta), s.Rounds))
 	dst[0] = uint64(d.X) | uint64(d.Y)<<16
 }
 
@@ -310,12 +307,12 @@ func (s *ChaskeyScenario) RandomSample(r *prng.Rand) []float64 {
 	return bits.ToFloats(make([]float64, 0, s.FeatureLen()), r.Bytes(chaskey.StateBytes))
 }
 
-// RandomBatch is the packed fast path of RandomSample.
+// RandomBatch is the packed form of RandomSample.
 func (s *ChaskeyScenario) RandomBatch(r *prng.Rand, dst []uint64) {
 	randomBatch(r, dst, s.FeatureLen())
 }
 
-// SampleBatch is the packed fast path of Sample: same draws, same bits,
+// SampleBatch is the packed form of Sample: same draws, same bits,
 // no allocation. The state serializes little-endian word by word, and
 // the packed-row layout is little-endian bit order, so state word w of
 // the XOR lands in half-word w of dst unchanged (the packRateDiff
@@ -326,15 +323,14 @@ func (s *ChaskeyScenario) SampleBatch(r *prng.Rand, class int, dst []uint64) {
 		return
 	}
 	v := chaskey.State{r.Uint32(), r.Uint32(), r.Uint32(), r.Uint32()}
-	a, b := chaskey.PermutePairRounds(v, v.XOR(s.Delta), s.Rounds)
+	a, b := chaskey.Permute(v, s.Rounds), chaskey.Permute(v.XOR(s.Delta), s.Rounds)
 	dst[0] = uint64(a[0]^b[0]) | uint64(a[1]^b[1])<<32
 	dst[1] = uint64(a[2]^b[2]) | uint64(a[3]^b[3])<<32
 }
 
-// Compile-time checks that the sweep scenarios stay wired to their
-// fast-path and related-key contracts.
+// Compile-time checks that the sweep scenarios stay wired to the
+// related-key contract.
 var (
 	_ RelatedKeyScenario = (*SimonScenario)(nil)
 	_ RelatedKeyScenario = (*SimeckScenario)(nil)
-	_ BatchScenario      = (*ChaskeyScenario)(nil)
 )

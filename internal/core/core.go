@@ -28,9 +28,18 @@ import (
 
 // Scenario produces labelled output-difference samples for a chosen
 // set of input differences. Implementations must be deterministic
-// functions of the provided generator. Sample is the conformance
-// oracle: the two optional fast paths the generation engine takes,
-// BatchScenario and QuadScenario, must reproduce it bit for bit.
+// functions of the provided generator.
+//
+// Every sample comes in two encodings. Sample and RandomSample return
+// float vectors; they are the conformance oracle and the Oracle.Query
+// path. SampleBatch and RandomBatch write the same sample packed: bit i
+// of the feature vector at bit i%64 of dst[i/64] (the bits.PackFloats
+// layout), every word of dst overwritten, dst FeatureLen()/64 words
+// rounded up. Each packed method must write exactly the bits its float
+// counterpart returns and consume exactly the same generator outputs,
+// so the two encodings are interchangeable row by row
+// (testkit.CheckScenario enforces both). Dataset generation and the
+// online phase's CipherOracle and RandomOracle draw packed.
 type Scenario interface {
 	// Name identifies the scenario in reports.
 	Name() string
@@ -46,27 +55,11 @@ type Scenario interface {
 	// oracle were a random function: a uniformly random difference
 	// feature vector.
 	RandomSample(r *prng.Rand) []float64
-}
-
-// BatchScenario is the packed fast path of Scenario: SampleBatch is
-// Sample, and RandomBatch is RandomSample, with the float
-// materialization stripped out. Each must write exactly the bits its
-// float counterpart would return — bit i of the feature vector at bit
-// i%64 of dst[i/64] (the bits.PackFloats layout), every word of dst
-// overwritten — and must consume exactly the same generator outputs,
-// so the two paths are interchangeable row by row (testkit.CheckScenario
-// enforces both). dst has FeatureLen()/64 words, rounded up.
-//
-// Dataset generation draws training rows through SampleBatch, and
-// Distinguish draws the online phase's CipherOracle and RandomOracle
-// queries through SampleBatch and RandomBatch, scoring them packed.
-type BatchScenario interface {
-	Scenario
-	// SampleBatch writes one packed cipher sample for the class into dst
+	// SampleBatch writes Sample's vector for the class into dst, packed,
 	// without allocating.
 	SampleBatch(r *prng.Rand, class int, dst []uint64)
-	// RandomBatch writes one packed random-oracle sample into dst
-	// without allocating.
+	// RandomBatch writes RandomSample's vector into dst, packed, without
+	// allocating.
 	RandomBatch(r *prng.Rand, dst []uint64)
 }
 
@@ -76,7 +69,7 @@ type BatchScenario interface {
 // and produce exactly the bytes SampleBatch would, so the generation
 // engine can group rows freely without moving any stream.
 type QuadScenario interface {
-	BatchScenario
+	Scenario
 	// SampleQuad writes packed samples for (class[k], r[k]) into dst[k]
 	// for k = 0..3.
 	SampleQuad(r *[4]prng.Rand, class [4]int, dst [4][]uint64)
@@ -95,13 +88,13 @@ type QuadScenario interface {
 // their per-class generator layout via DrawWords, and
 // testkit.CheckScenario audits the declaration: Sample for a class
 // must consume exactly DrawWords(class) 64-bit outputs. Row-positional
-// substreams (prng.NewStream(base, row)) already make
-// GenerateDataset/GenerateDatasetParallel byte-identical at any worker
-// count whatever a row consumes; the declared layout pins that
-// consumption down so a related-key path that silently draws
-// differently from its specification cannot pass conformance.
+// substreams (prng.NewStream(base, row)) already make GenerateDataset
+// byte-identical at any worker count whatever a row consumes; the
+// declared layout pins that consumption down so a related-key path
+// that silently draws differently from its specification cannot pass
+// conformance.
 type RelatedKeyScenario interface {
-	BatchScenario
+	Scenario
 	// KeyDelta returns the key difference ∇ serialized in the cipher's
 	// NewFromBytes layout. All-zero means single-key.
 	KeyDelta() []byte

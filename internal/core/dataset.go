@@ -96,34 +96,31 @@ func (d *Dataset) Rows() [][]float64 {
 }
 
 // GenerateDataset draws perClass cipher samples for each of the
-// scenario's classes, interleaved so that truncation keeps balance.
-// Rows are written to the dataset's packed backing store (see Dataset)
-// by one of two tiers: QuadScenario scenarios (GIMLI's ×8-interleaved
-// permutation) fill four rows per call, and every other row is packed
-// one at a time by SampleBatch, or from Sample's float vector when the
-// scenario has no SampleBatch. Read samples back through Row/Rows; the
-// float views those return are materialized lazily, and a Row view is
-// only valid until the next Row call on the same scratch slice.
+// scenario's classes, interleaved so that truncation keeps balance,
+// sharded across GOMAXPROCS goroutines. Rows are written to the
+// dataset's packed backing store (see Dataset) by one of two tiers:
+// QuadScenario scenarios (GIMLI's ×8-interleaved permutation) fill four
+// rows per call, and every other row is packed one at a time by
+// SampleBatch. Read samples back through Row/Rows; the float views
+// those return are materialized lazily, and a Row view is only valid
+// until the next Row call on the same scratch slice.
 //
 // Determinism contract: exactly one output is consumed from r to
 // derive a base seed, and row j (canonical interleaved order: sample
 // i of class c sits at row i*t+c) is drawn from the positional
 // substream prng.NewStream(base, j). Because each row owns its
 // substream, any partition of rows across workers reproduces the same
-// bytes — GenerateDataset and GenerateDatasetParallel are
-// interchangeable at every worker count, and the quad tier is
-// byte-identical to the per-row Sample path (regression-tested across
-// every registered scenario).
+// bytes — the output does not depend on GOMAXPROCS, and the quad tier
+// is byte-identical to the per-row Sample path (regression-tested
+// across every registered scenario).
 func GenerateDataset(s Scenario, perClass int, r *prng.Rand) *Dataset {
-	return GenerateDatasetParallel(s, perClass, r, 1)
+	return generateDataset(s, perClass, r, runtime.GOMAXPROCS(0))
 }
 
-// GenerateDatasetParallel is GenerateDataset sharded across workers
-// goroutines (workers <= 0 selects runtime.GOMAXPROCS). The output is
-// byte-identical to GenerateDataset for the same scenario, perClass
-// and generator state, regardless of worker count; see the
-// determinism contract on GenerateDataset.
-func GenerateDatasetParallel(s Scenario, perClass int, r *prng.Rand, workers int) *Dataset {
+// generateDataset is GenerateDataset over at most workers goroutines.
+// Worker count never changes the output; the parameter exists so tests
+// can fan out without touching GOMAXPROCS.
+func generateDataset(s Scenario, perClass int, r *prng.Rand, workers int) *Dataset {
 	if perClass < 0 {
 		perClass = 0
 	}
@@ -135,14 +132,12 @@ func GenerateDatasetParallel(s Scenario, perClass int, r *prng.Rand, workers int
 	// reproducible.
 	base := r.Uint64()
 	d := newDataset(n, s.FeatureLen())
-	bs, _ := s.(BatchScenario)
 	qs, _ := s.(QuadScenario)
 	// fill generates rows [lo, hi): quads first, then single rows. Each
 	// row's generator is reseeded to its positional substream, so both
 	// tiers consume exactly the same draws per row and shard boundaries
-	// cannot shift any stream. In the BatchScenario steady state this
-	// loop does not allocate: rows are packed into the preallocated
-	// backing store.
+	// cannot shift any stream. The loop does not allocate: rows are
+	// packed into the preallocated backing store.
 	fill := func(lo, hi int, rs *[4]prng.Rand) {
 		j := lo
 		if qs != nil {
@@ -157,39 +152,21 @@ func GenerateDatasetParallel(s Scenario, perClass int, r *prng.Rand, workers int
 		}
 		for ; j < hi; j++ {
 			rs[0].SeedStream(base, uint64(j))
-			c := j % t
-			if bs != nil {
-				bs.SampleBatch(&rs[0], c, d.Packed(j))
-			} else {
-				bits.PackFloats(d.Packed(j), s.Sample(&rs[0], c))
-			}
-			d.Y[j] = c
+			s.SampleBatch(&rs[0], j%t, d.Packed(j))
+			d.Y[j] = j % t
 		}
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	// Extra goroutines beyond the schedulable parallelism only add
-	// scheduling overhead (sampling never blocks), and the determinism
-	// contract makes worker count invisible in the output — so clamp,
-	// and run the single-worker case inline with no goroutine at all.
-	if mp := runtime.GOMAXPROCS(0); workers > mp {
-		workers = mp
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 || n == 0 {
+	// Sampling never blocks, so the single-worker case runs inline
+	// with no goroutine at all.
+	workers = min(workers, n)
+	if workers <= 1 {
 		fill(0, n, &[4]prng.Rand{})
 		return d
 	}
 	var wg sync.WaitGroup
 	chunk := (n + workers - 1) / workers
 	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
+		hi := min(lo+chunk, n)
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()

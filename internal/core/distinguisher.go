@@ -68,13 +68,13 @@ func Train(s Scenario, c Classifier, cfg TrainConfig) (*Distinguisher, error) {
 		return nil, fmt.Errorf("core: scenario %q has %d classes, need ≥ 2", s.Name(), s.Classes())
 	}
 	r := prng.New(cfg.Seed)
-	trainSet := GenerateDatasetParallel(s, cfg.TrainPerClass, r, 0)
+	trainSet := GenerateDataset(s, cfg.TrainPerClass, r)
 	if err := fitDataset(c, trainSet); err != nil {
 		return nil, fmt.Errorf("core: fitting %s on %s: %w", c.Name(), s.Name(), err)
 	}
 
 	trainAcc := evalAccuracy(c, trainSet)
-	valSet := GenerateDatasetParallel(s, cfg.ValPerClass, r, 0)
+	valSet := GenerateDataset(s, cfg.ValPerClass, r)
 	valAcc := evalAccuracy(c, valSet)
 
 	d := &Distinguisher{
@@ -143,7 +143,7 @@ const distinguishBatch = 4096
 // thousands of 1-row forward passes with a few batched matrix products.
 //
 // The packed path: when the classifier is a DatasetClassifier and o is
-// a CipherOracle or RandomOracle over a BatchScenario with the
+// a CipherOracle or RandomOracle over a scenario with the
 // distinguisher's feature length, each chunk is drawn straight into one
 // reused packed Dataset (SampleBatch or RandomBatch: the draws and bits
 // of Sample and RandomSample) and scored with PredictDataset. Every
@@ -194,17 +194,16 @@ func (d *Distinguisher) Distinguish(o Oracle, queries int, r *prng.Rand) (Online
 
 // packedQuery returns the packed form of o's queries — SampleBatch for
 // a CipherOracle, RandomBatch for a RandomOracle — when o is one of
-// those two over a BatchScenario with featLen features, and nil
-// otherwise.
+// those two over a scenario with featLen features, and nil otherwise.
 func packedQuery(o Oracle, featLen int) func(*prng.Rand, int, []uint64) {
 	switch o := o.(type) {
 	case CipherOracle:
-		if bs, ok := o.S.(BatchScenario); ok && bs.FeatureLen() == featLen {
-			return bs.SampleBatch
+		if o.S.FeatureLen() == featLen {
+			return o.S.SampleBatch
 		}
 	case RandomOracle:
-		if bs, ok := o.S.(BatchScenario); ok && bs.FeatureLen() == featLen {
-			return func(r *prng.Rand, _ int, dst []uint64) { bs.RandomBatch(r, dst) }
+		if o.S.FeatureLen() == featLen {
+			return func(r *prng.Rand, _ int, dst []uint64) { o.S.RandomBatch(r, dst) }
 		}
 	}
 	return nil

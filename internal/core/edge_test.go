@@ -25,7 +25,7 @@ func edgeScenario(t *testing.T) Scenario {
 func TestGenerateDatasetEmpty(t *testing.T) {
 	s := edgeScenario(t)
 	for _, workers := range []int{0, 1, 4, 64} {
-		d := GenerateDatasetParallel(s, 0, prng.New(1), workers)
+		d := generateDataset(s, 0, prng.New(1), workers)
 		if d.Len() != 0 || len(d.PackedBits()) != 0 || len(d.Rows()) != 0 {
 			t.Fatalf("perClass=0 workers=%d: %d rows", workers, d.Len())
 		}
@@ -36,7 +36,7 @@ func TestGenerateDatasetEmpty(t *testing.T) {
 // empty instead of panicking in make().
 func TestGenerateDatasetNegativePerClass(t *testing.T) {
 	s := edgeScenario(t)
-	d := GenerateDatasetParallel(s, -5, prng.New(1), 4)
+	d := generateDataset(s, -5, prng.New(1), 4)
 	if d.Len() != 0 {
 		t.Fatalf("negative perClass produced %d rows", d.Len())
 	}
@@ -49,7 +49,7 @@ func TestGenerateDatasetNegativePerClass(t *testing.T) {
 func TestGenerateDatasetEmptyConsumesOneSeed(t *testing.T) {
 	s := edgeScenario(t)
 	r1 := prng.New(42)
-	GenerateDatasetParallel(s, 0, r1, 4)
+	generateDataset(s, 0, r1, 4)
 	r2 := prng.New(42)
 	r2.Uint64()
 	if r1.Uint64() != r2.Uint64() {
@@ -61,8 +61,8 @@ func TestGenerateDatasetEmptyConsumesOneSeed(t *testing.T) {
 // neither panic nor change the output relative to serial generation.
 func TestGenerateDatasetWorkersExceedRows(t *testing.T) {
 	s := edgeScenario(t)
-	serial := GenerateDatasetParallel(s, 2, prng.New(7), 1)
-	wide := GenerateDatasetParallel(s, 2, prng.New(7), 64)
+	serial := generateDataset(s, 2, prng.New(7), 1)
+	wide := generateDataset(s, 2, prng.New(7), 64)
 	if serial.Len() != wide.Len() {
 		t.Fatalf("row counts differ: %d vs %d", serial.Len(), wide.Len())
 	}

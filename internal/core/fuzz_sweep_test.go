@@ -14,13 +14,13 @@ import (
 // The sweep fuzz targets drive a scenario's packed SampleBatch fast
 // path and its scalar Sample path from fuzzer-chosen seeds, rounds and
 // differences, and require bit-identical output and generator
-// consumption — the BatchScenario contract under adversarial inputs
+// consumption — the Scenario packing contract under adversarial inputs
 // rather than the conformance suite's random draws. They live in
 // package core (not testkit) because testkit imports core.
 
 // crossCheckBatch asserts SampleBatch(seed, class) equals the packed
 // Sample(seed, class) and consumed the same generator state.
-func crossCheckBatch(t *testing.T, s BatchScenario, seed uint64, class int) {
+func crossCheckBatch(t *testing.T, s Scenario, seed uint64, class int) {
 	t.Helper()
 	r := prng.NewStream(seed, 0)
 	vec := s.Sample(r, class)

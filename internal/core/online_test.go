@@ -36,15 +36,12 @@ func (c *recorder) PredictDataset(d *Dataset) []int {
 }
 
 // TestPackedDistinguishMatchesFloatPath: for every registered
-// BatchScenario and both built-in oracles, the packed online path must
+// scenario and both built-in oracles, the packed online path must
 // make the same predictions, return the same OnlineResult and leave the
 // generator in the same state as the float path, at query counts on
 // both sides of the 4096-row chunk and at the paper's 2^14.3.
 func TestPackedDistinguishMatchesFloatPath(t *testing.T) {
 	for _, s := range RegisteredScenarios() {
-		if _, ok := s.(BatchScenario); !ok {
-			continue
-		}
 		nc, err := NewMLPClassifier(s.FeatureLen(), s.Classes(), 16, 3)
 		if err != nil {
 			t.Fatal(err)

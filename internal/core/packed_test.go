@@ -38,14 +38,14 @@ func TestPackedMatchesLegacySample(t *testing.T) {
 		s := s
 		t.Run(s.Name(), func(t *testing.T) {
 			t.Parallel()
-			// Odd perClass so rows are odd and the pair path leaves a
+			// Odd perClass so rows are odd and the quad tier leaves a
 			// trailing single row in every shard arrangement. Kept small
 			// because trivium-576 samples are expensive.
 			const perClass = 11
 			const seed = 2020
 			wantX, wantY := legacyDataset(s, perClass, seed)
 			for _, workers := range []int{1, 4, 7} {
-				d := GenerateDatasetParallel(s, perClass, prng.New(seed), workers)
+				d := generateDataset(s, perClass, prng.New(seed), workers)
 				if d.Len() != len(wantY) || d.FeatureLen() != s.FeatureLen() {
 					t.Fatalf("workers=%d: shape %d×%d, want %d×%d",
 						workers, d.Len(), d.FeatureLen(), len(wantY), s.FeatureLen())
@@ -126,7 +126,7 @@ func TestDatasetPersistRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := GenerateDatasetParallel(s, 33, prng.New(99), 4)
+	d := generateDataset(s, 33, prng.New(99), 4)
 	var buf bytes.Buffer
 	if err := SaveDataset(&buf, d); err != nil {
 		t.Fatal(err)

@@ -2,22 +2,11 @@ package core
 
 import (
 	"math"
-	"runtime"
 	"strings"
 	"testing"
 
 	"repro/internal/prng"
 )
-
-// withParallelism raises GOMAXPROCS for the duration of a test so that
-// multi-worker paths genuinely fan out across goroutines even on
-// single-CPU hosts, where GenerateDatasetParallel's worker clamp would
-// otherwise collapse every worker count to the inline serial path.
-func withParallelism(t *testing.T, p int) {
-	t.Helper()
-	old := runtime.GOMAXPROCS(p)
-	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
-}
 
 // datasetsEqual reports whether two datasets are byte-identical, down
 // to the packed backing store.
@@ -39,12 +28,12 @@ func datasetsEqual(a, b *Dataset) bool {
 	return true
 }
 
-// TestGenerateDatasetParallelDeterminism is the determinism regression
+// TestGenerateDatasetWorkerDeterminism is the determinism regression
 // test for the sharded-PRNG scheme: for a Gimli and a Speck scenario,
-// GenerateDatasetParallel at 1, 4 and 7 workers must produce (X, Y)
-// identical to the serial GenerateDataset from the same seed.
-func TestGenerateDatasetParallelDeterminism(t *testing.T) {
-	withParallelism(t, 8)
+// generation at 1, 4 and 7 workers must produce (X, Y) identical to
+// the serial run from the same seed. The worker counts are passed to
+// generateDataset directly, so they fan out whatever GOMAXPROCS is.
+func TestGenerateDatasetWorkerDeterminism(t *testing.T) {
 	gimli, err := NewGimliCipherScenario(6)
 	if err != nil {
 		t.Fatal(err)
@@ -57,12 +46,12 @@ func TestGenerateDatasetParallelDeterminism(t *testing.T) {
 		// perClass chosen so the row count is not divisible by the
 		// worker counts — shard boundaries land mid-class.
 		const perClass = 101
-		want := GenerateDataset(s, perClass, prng.New(33))
+		want := generateDataset(s, perClass, prng.New(33), 1)
 		if want.Len() != perClass*s.Classes() {
 			t.Fatalf("%s: serial dataset has %d rows, want %d", s.Name(), want.Len(), perClass*s.Classes())
 		}
 		for _, workers := range []int{1, 4, 7} {
-			got := GenerateDatasetParallel(s, perClass, prng.New(33), workers)
+			got := generateDataset(s, perClass, prng.New(33), workers)
 			if !datasetsEqual(got, want) {
 				t.Errorf("%s: %d-worker dataset differs from serial", s.Name(), workers)
 			}
@@ -70,16 +59,15 @@ func TestGenerateDatasetParallelDeterminism(t *testing.T) {
 	}
 }
 
-// batchOnly hides every interface of the wrapped scenario except
-// BatchScenario, forcing the engine down the one-row-at-a-time path.
-type batchOnly struct{ BatchScenario }
+// rowOnly hides the wrapped scenario's QuadScenario tier, forcing the
+// engine down the one-row-at-a-time SampleBatch path.
+type rowOnly struct{ Scenario }
 
 // TestGenerateDatasetFastPathIdentity: the engine's one wide tier — the
 // 4-row GIMLI quads — must produce datasets byte-identical to the
 // per-row SampleBatch path, at every worker count. perClass is odd so
 // shard boundaries cut quads into remainder rows.
 func TestGenerateDatasetFastPathIdentity(t *testing.T) {
-	withParallelism(t, 8)
 	hash, err := NewGimliHashScenario(6)
 	if err != nil {
 		t.Fatal(err)
@@ -93,14 +81,14 @@ func TestGenerateDatasetFastPathIdentity(t *testing.T) {
 		wide   Scenario
 		narrow Scenario
 	}{
-		{"gimli-hash-quad-vs-batch", hash, batchOnly{hash}},
-		{"gimli-cipher-quad-vs-batch", cipher, batchOnly{cipher}},
+		{"gimli-hash-quad-vs-batch", hash, rowOnly{hash}},
+		{"gimli-cipher-quad-vs-batch", cipher, rowOnly{cipher}},
 	}
 	const perClass = 131 // 262 rows: not a multiple of 4 or of any worker count
 	for _, c := range cases {
-		want := GenerateDataset(c.narrow, perClass, prng.New(77))
+		want := generateDataset(c.narrow, perClass, prng.New(77), 1)
 		for _, workers := range []int{1, 4, 7} {
-			got := GenerateDatasetParallel(c.wide, perClass, prng.New(77), workers)
+			got := generateDataset(c.wide, perClass, prng.New(77), workers)
 			if !datasetsEqual(got, want) {
 				t.Errorf("%s: %d-worker wide-path dataset differs from narrow path", c.name, workers)
 			}
@@ -131,7 +119,7 @@ func TestGenerateDatasetInterleavesClasses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := GenerateDatasetParallel(s, 5, prng.New(1), 3)
+	d := generateDataset(s, 5, prng.New(1), 3)
 	for j, c := range d.Y {
 		if c != j%s.Classes() {
 			t.Fatalf("row %d has class %d, want interleaved %d", j, c, j%s.Classes())
@@ -220,7 +208,7 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 }
 
 // TestFitParallelDeterminism is the training-engine counterpart of
-// TestGenerateDatasetParallelDeterminism: for a Gimli and a Speck
+// TestGenerateDatasetWorkerDeterminism: for a Gimli and a Speck
 // scenario, an NNClassifier trained at 1, 4 and 7 workers must end with
 // byte-identical network weights and identical accuracies.
 func TestFitParallelDeterminism(t *testing.T) {

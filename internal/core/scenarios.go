@@ -111,7 +111,7 @@ func packRateDiff(a, b *gimli.State, dst []uint64) {
 	dst[1] = uint64(a[2]^b[2]) | uint64(a[3]^b[3])<<32
 }
 
-// randomBatch is every BatchScenario's RandomBatch: the packed form of
+// randomBatch is every scenario's RandomBatch: the packed form of
 // bits.ToFloats(r.Bytes(feat/8)), the uniform difference each
 // RandomSample returns. Fill lays each generator output out
 // little-endian and the packed layout is little-endian bit order, so
@@ -128,12 +128,12 @@ func randomBatch(r *prng.Rand, dst []uint64, feat int) {
 	}
 }
 
-// RandomBatch is the packed fast path of RandomSample.
+// RandomBatch is the packed form of RandomSample.
 func (s *GimliHashScenario) RandomBatch(r *prng.Rand, dst []uint64) {
 	randomBatch(r, dst, s.FeatureLen())
 }
 
-// SampleBatch is the packed fast path of Sample: same draws, same bits,
+// SampleBatch is the packed form of Sample: same draws, same bits,
 // no allocation.
 func (s *GimliHashScenario) SampleBatch(r *prng.Rand, class int, dst []uint64) {
 	var a, b gimli.State
@@ -239,12 +239,12 @@ func (s *GimliCipherScenario) statePair(r *prng.Rand, class int, a, b *gimli.Sta
 	b.XORBytes(s.Deltas[class]) // 16 bytes: flips only the nonce part
 }
 
-// RandomBatch is the packed fast path of RandomSample.
+// RandomBatch is the packed form of RandomSample.
 func (s *GimliCipherScenario) RandomBatch(r *prng.Rand, dst []uint64) {
 	randomBatch(r, dst, s.FeatureLen())
 }
 
-// SampleBatch is the packed fast path of Sample: same draws, same bits,
+// SampleBatch is the packed form of Sample: same draws, same bits,
 // no allocation.
 func (s *GimliCipherScenario) SampleBatch(r *prng.Rand, class int, dst []uint64) {
 	var a, b gimli.State
@@ -315,14 +315,14 @@ func (s *SpeckScenario) RandomSample(r *prng.Rand) []float64 {
 	return bits.ToFloats(make([]float64, 0, 32), r.Bytes(4))
 }
 
-// RandomBatch is the packed fast path of RandomSample.
+// RandomBatch is the packed form of RandomSample.
 func (s *SpeckScenario) RandomBatch(r *prng.Rand, dst []uint64) {
 	randomBatch(r, dst, s.FeatureLen())
 }
 
-// SampleBatch is the packed fast path of Sample: same draws, same bits,
-// no allocation. Class 1 re-keys a stack Cipher and encrypts the
-// plaintext pair in one interleaved pass; class 0 is RandomBatch.
+// SampleBatch is the packed form of Sample: same draws, same bits, no
+// allocation. Class 1 re-keys a stack Cipher and encrypts the plaintext
+// pair; class 0 is RandomBatch.
 func (s *SpeckScenario) SampleBatch(r *prng.Rand, class int, dst []uint64) {
 	if class == 0 {
 		s.RandomBatch(r, dst)
@@ -331,16 +331,14 @@ func (s *SpeckScenario) SampleBatch(r *prng.Rand, class int, dst []uint64) {
 	var c speck.Cipher
 	c.Expand([4]uint16{r.Uint16(), r.Uint16(), r.Uint16(), r.Uint16()})
 	p := speck.Block{X: r.Uint16(), Y: r.Uint16()}
-	a, b := c.EncryptPairRounds(p, p.XOR(s.Delta), s.Rounds)
-	d := a.XOR(b)
+	d := c.EncryptRounds(p, s.Rounds).XOR(c.EncryptRounds(p.XOR(s.Delta), s.Rounds))
 	dst[0] = uint64(d.X) | uint64(d.Y)<<16
 }
 
-// Compile-time checks that the packed fast paths stay wired up.
+// Compile-time checks that the GIMLI quad tier stays wired up.
 var (
-	_ QuadScenario  = (*GimliHashScenario)(nil)
-	_ QuadScenario  = (*GimliCipherScenario)(nil)
-	_ BatchScenario = (*SpeckScenario)(nil)
+	_ QuadScenario = (*GimliHashScenario)(nil)
+	_ QuadScenario = (*GimliCipherScenario)(nil)
 )
 
 // FuncScenario adapts an arbitrary fixed-input-length function to a
@@ -386,8 +384,9 @@ func (s *FuncScenario) Classes() int { return len(s.DeltaIn) }
 // FeatureLen returns the output length in bits.
 func (s *FuncScenario) FeatureLen() int { return s.OutLen * 8 }
 
-// Sample evaluates f on a random input pair differing by δ_class.
-func (s *FuncScenario) Sample(r *prng.Rand, class int) []float64 {
+// diff evaluates f on a random input pair differing by δ_class and
+// returns the output difference bytes.
+func (s *FuncScenario) diff(r *prng.Rand, class int) []byte {
 	p := r.Bytes(s.InLen)
 	y1 := s.F(p)
 	bits.XOR(p, p, s.DeltaIn[class])
@@ -395,10 +394,26 @@ func (s *FuncScenario) Sample(r *prng.Rand, class int) []float64 {
 	if len(y1) != s.OutLen || len(y2) != s.OutLen {
 		panic(fmt.Sprintf("core: scenario %q function returned %d/%d bytes, want %d", s.Label, len(y1), len(y2), s.OutLen))
 	}
-	return bits.ToFloats(make([]float64, 0, s.FeatureLen()), bits.XORBytes(y1, y2))
+	return bits.XORBytes(y1, y2)
+}
+
+// Sample returns the output difference of f on a random input pair
+// differing by δ_class.
+func (s *FuncScenario) Sample(r *prng.Rand, class int) []float64 {
+	return bits.ToFloats(make([]float64, 0, s.FeatureLen()), s.diff(r, class))
+}
+
+// SampleBatch is the packed form of Sample.
+func (s *FuncScenario) SampleBatch(r *prng.Rand, class int, dst []uint64) {
+	bits.PackBytes(dst, s.diff(r, class))
 }
 
 // RandomSample returns a uniformly random output difference.
 func (s *FuncScenario) RandomSample(r *prng.Rand) []float64 {
 	return bits.ToFloats(make([]float64, 0, s.FeatureLen()), r.Bytes(s.OutLen))
+}
+
+// RandomBatch is the packed form of RandomSample.
+func (s *FuncScenario) RandomBatch(r *prng.Rand, dst []uint64) {
+	randomBatch(r, dst, s.FeatureLen())
 }

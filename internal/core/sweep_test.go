@@ -13,11 +13,9 @@ import (
 // TestSweepParallelDeterminism extends the sharded-PRNG determinism
 // regression to the sweep scenarios: for every new cipher family —
 // including both related-key variants, whose class-1 draws consume six
-// generator words instead of one — GenerateDatasetParallel at 1, 4 and
-// 7 workers must be byte-identical to the serial run from the same
-// seed.
+// generator words instead of one — generation at 1, 4 and 7 workers
+// must be byte-identical to the serial run from the same seed.
 func TestSweepParallelDeterminism(t *testing.T) {
-	withParallelism(t, 8)
 	for _, fam := range []struct {
 		target string
 		rounds int
@@ -35,12 +33,12 @@ func TestSweepParallelDeterminism(t *testing.T) {
 		// perClass chosen so the row count is not divisible by the
 		// worker counts — shard boundaries land mid-class.
 		const perClass = 101
-		want := GenerateDataset(s, perClass, prng.New(33))
+		want := generateDataset(s, perClass, prng.New(33), 1)
 		if want.Len() != perClass*s.Classes() {
 			t.Fatalf("%s: serial dataset has %d rows, want %d", s.Name(), want.Len(), perClass*s.Classes())
 		}
 		for _, workers := range []int{1, 4, 7} {
-			got := GenerateDatasetParallel(s, perClass, prng.New(33), workers)
+			got := generateDataset(s, perClass, prng.New(33), workers)
 			if !datasetsEqual(got, want) {
 				t.Errorf("%s: %d-worker dataset differs from serial", s.Name(), workers)
 			}

@@ -68,14 +68,14 @@ func (s *Gift64Scenario) Sample(r *prng.Rand, class int) []float64 {
 // RandomSample returns a uniform 64-bit difference.
 func (s *Gift64Scenario) RandomSample(r *prng.Rand) []float64 { return uint64Bits(r.Uint64()) }
 
-// RandomBatch is the packed fast path of RandomSample: uint64Bits of
+// RandomBatch is the packed form of RandomSample: uint64Bits of
 // one generator output is the packed form of the eight bytes Fill
 // would lay out from it.
 func (s *Gift64Scenario) RandomBatch(r *prng.Rand, dst []uint64) {
 	randomBatch(r, dst, s.FeatureLen())
 }
 
-// SampleBatch is the packed fast path of Sample: same draws, same bits,
+// SampleBatch is the packed form of Sample: same draws, same bits,
 // no allocation. The 64 feature bits of uint64Bits are exactly the
 // packed-row layout, so the state difference is the row word; class 1
 // re-keys one stack cipher via the in-place Expand, and class 0 is
@@ -93,9 +93,6 @@ func (s *Gift64Scenario) SampleBatch(r *prng.Rand, class int, dst []uint64) {
 	p := r.Uint64()
 	dst[0] = c.EncryptRounds(p, s.Rounds) ^ c.EncryptRounds(p^s.Delta, s.Rounds)
 }
-
-// Compile-time check that the packed fast path stays wired up.
-var _ BatchScenario = (*Gift64Scenario)(nil)
 
 // NewSalsaScenario builds a t = 2 scenario over the round-reduced
 // Salsa20 core: the two input differences flip the least significant
@@ -150,9 +147,9 @@ func (s *TriviumScenario) Classes() int { return len(s.Deltas) }
 // FeatureLen returns the keystream prefix length in bits.
 func (s *TriviumScenario) FeatureLen() int { return s.PrefixLen * 8 }
 
-// Sample returns the keystream-prefix difference for an IV pair
+// diff returns the keystream-prefix difference bytes for an IV pair
 // differing by δ_class under a fresh random key.
-func (s *TriviumScenario) Sample(r *prng.Rand, class int) []float64 {
+func (s *TriviumScenario) diff(r *prng.Rand, class int) []byte {
 	key := r.Bytes(trivium.KeyBytes)
 	iv := r.Bytes(trivium.IVBytes)
 	a, err := trivium.Prefix(key, iv, s.InitClocks, s.PrefixLen)
@@ -164,10 +161,26 @@ func (s *TriviumScenario) Sample(r *prng.Rand, class int) []float64 {
 	if err != nil {
 		panic(fmt.Sprintf("core: trivium sample: %v", err))
 	}
-	return bits.ToFloats(make([]float64, 0, s.FeatureLen()), bits.XORBytes(a, b))
+	return bits.XORBytes(a, b)
+}
+
+// Sample returns the keystream-prefix difference for an IV pair
+// differing by δ_class under a fresh random key.
+func (s *TriviumScenario) Sample(r *prng.Rand, class int) []float64 {
+	return bits.ToFloats(make([]float64, 0, s.FeatureLen()), s.diff(r, class))
+}
+
+// SampleBatch is the packed form of Sample.
+func (s *TriviumScenario) SampleBatch(r *prng.Rand, class int, dst []uint64) {
+	bits.PackBytes(dst, s.diff(r, class))
 }
 
 // RandomSample returns a uniform keystream-prefix difference.
 func (s *TriviumScenario) RandomSample(r *prng.Rand) []float64 {
 	return bits.ToFloats(make([]float64, 0, s.FeatureLen()), r.Bytes(s.PrefixLen))
+}
+
+// RandomBatch is the packed form of RandomSample.
+func (s *TriviumScenario) RandomBatch(r *prng.Rand, dst []uint64) {
+	randomBatch(r, dst, s.FeatureLen())
 }

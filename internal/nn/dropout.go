@@ -19,7 +19,7 @@ type Dropout struct {
 	// Dim keep/drop decisions from prng.NewStream(seed, s<<32|row),
 	// where row is the row's global offset within the step's batch.
 	// Because each (step, row) pair owns a substream — the same
-	// construction GenerateDatasetParallel uses — any sharding of the
+	// construction core.GenerateDataset uses — any sharding of the
 	// batch across training-engine workers draws exactly the same
 	// masks as a serial pass. step auto-increments per training
 	// forward; the engine overrides it (setPos) on training replicas

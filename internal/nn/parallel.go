@@ -9,7 +9,7 @@ import (
 // This file implements the data-parallel deterministic training engine
 // and the allocation-free batched Predictor.
 //
-// Determinism contract (the same one GenerateDatasetParallel honors):
+// Determinism contract (the same one core.GenerateDataset honors):
 // training results are byte-identical at any worker count. Floating-
 // point addition is not associative, so the engine never lets goroutine
 // scheduling pick an accumulation order. Instead every mini-batch is

@@ -7,9 +7,9 @@ import (
 )
 
 // BenchmarkSimeckEncrypt measures the sampler's hot loop at the
-// registered 8-round depth: re-key from scratch, then the scalar pair
-// of encryptions versus the interleaved pair path versus the
-// cross-key (related-key) pair path.
+// registered depths: re-key from scratch, then two EncryptRounds calls
+// under one key (8 rounds) or, for the related-key sampler, under K and
+// K ⊕ ∇ (12 rounds).
 func BenchmarkSimeckEncrypt(b *testing.B) {
 	key := simeck.Key{0x1918, 0x1110, 0x0908, 0x0100}
 	p := simeck.Block{X: 0x6565, Y: 0x6877}
@@ -23,17 +23,6 @@ func BenchmarkSimeckEncrypt(b *testing.B) {
 		}
 		_ = sink
 	})
-	b.Run("pair", func(b *testing.B) {
-		b.ReportAllocs()
-		var sink simeck.Block
-		for i := 0; i < b.N; i++ {
-			var c simeck.Cipher
-			c.Expand(key)
-			x, y := c.EncryptPairRounds(p, p.XOR(simeck.NDDelta), 8)
-			sink = x.XOR(y)
-		}
-		_ = sink
-	})
 	b.Run("cross-key", func(b *testing.B) {
 		b.ReportAllocs()
 		var sink simeck.Block
@@ -41,8 +30,7 @@ func BenchmarkSimeckEncrypt(b *testing.B) {
 			var ca, cb simeck.Cipher
 			ca.Expand(key)
 			cb.Expand(key.XOR(simeck.LuKeyDelta))
-			x, y := simeck.EncryptCrossPairRounds(&ca, &cb, p, p.XOR(simeck.NDDelta), 12)
-			sink = x.XOR(y)
+			sink = ca.EncryptRounds(p, 12).XOR(cb.EncryptRounds(p.XOR(simeck.NDDelta), 12))
 		}
 		_ = sink
 	})

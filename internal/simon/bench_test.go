@@ -7,9 +7,9 @@ import (
 )
 
 // BenchmarkSimonEncrypt measures the sampler's hot loop at the
-// registered 8-round depth: re-key from scratch, then the scalar pair
-// of encryptions versus the interleaved pair path versus the
-// cross-key (related-key) pair path.
+// registered depths: re-key from scratch, then two EncryptRounds calls
+// under one key (8 rounds) or, for the related-key sampler, under K and
+// K ⊕ ∇ (10 rounds).
 func BenchmarkSimonEncrypt(b *testing.B) {
 	key := simon.Key{0x1918, 0x1110, 0x0908, 0x0100}
 	p := simon.Block{X: 0x6565, Y: 0x6877}
@@ -23,17 +23,6 @@ func BenchmarkSimonEncrypt(b *testing.B) {
 		}
 		_ = sink
 	})
-	b.Run("pair", func(b *testing.B) {
-		b.ReportAllocs()
-		var sink simon.Block
-		for i := 0; i < b.N; i++ {
-			var c simon.Cipher
-			c.Expand(key)
-			x, y := c.EncryptPairRounds(p, p.XOR(simon.NDDelta), 8)
-			sink = x.XOR(y)
-		}
-		_ = sink
-	})
 	b.Run("cross-key", func(b *testing.B) {
 		b.ReportAllocs()
 		var sink simon.Block
@@ -41,8 +30,7 @@ func BenchmarkSimonEncrypt(b *testing.B) {
 			var ca, cb simon.Cipher
 			ca.Expand(key)
 			cb.Expand(key.XOR(simon.LuKeyDelta))
-			x, y := simon.EncryptCrossPairRounds(&ca, &cb, p, p.XOR(simon.NDDelta), 10)
-			sink = x.XOR(y)
+			sink = ca.EncryptRounds(p, 10).XOR(cb.EncryptRounds(p.XOR(simon.NDDelta), 10))
 		}
 		_ = sink
 	})

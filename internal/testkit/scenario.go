@@ -44,17 +44,14 @@ func ScenarioDraws(s core.Scenario) Gen[ScenarioDraw] {
 
 // CheckScenario verifies the core.Scenario contract for s under the
 // property runner: Sample and RandomSample must return feature vectors
-// of exactly FeatureLen entries, every entry in {0, 1}. The draw with
-// Class == Classes() exercises RandomSample; the sample itself is
-// drawn from prng.NewStream(draw.Seed, 0) so failures replay from the
-// printed counterexample.
-//
-// When s also implements core.BatchScenario, its packed SampleBatch
-// and RandomBatch fast paths are held to that interface's contract on
-// every class and random draw respectively: from an identical
-// generator each must produce exactly the bits of Sample (RandomSample),
-// consume exactly as much generator state, and leave the trailing bits
-// of the last packed word zero.
+// of exactly FeatureLen entries, every entry in {0, 1}, and the packed
+// SampleBatch and RandomBatch must, from an identical generator,
+// produce exactly the bits of Sample (RandomSample), consume exactly as
+// much generator state, and leave the trailing bits of the last packed
+// word zero. The draw with Class == Classes() exercises RandomSample
+// and RandomBatch; the sample itself is drawn from
+// prng.NewStream(draw.Seed, 0) so failures replay from the printed
+// counterexample.
 //
 // When s also implements core.RelatedKeyScenario, its declared
 // generator layout is audited on every class draw: Sample must consume
@@ -64,7 +61,6 @@ func ScenarioDraws(s core.Scenario) Gen[ScenarioDraw] {
 // other.
 func CheckScenario(t T, s core.Scenario, cfg Config) *Failure[ScenarioDraw] {
 	t.Helper()
-	bs, _ := s.(core.BatchScenario)
 	rk, _ := s.(core.RelatedKeyScenario)
 	words := bits.PackedWords(s.FeatureLen())
 	packed := make([]uint64, words)
@@ -85,9 +81,6 @@ func CheckScenario(t T, s core.Scenario, cfg Config) *Failure[ScenarioDraw] {
 				return fmt.Errorf("feature %d is %v, want 0 or 1", i, x)
 			}
 		}
-		if bs == nil {
-			return nil
-		}
 		rb := prng.NewStream(d.Seed, 0)
 		for i := range packed {
 			packed[i] = ^uint64(0) // dirty: the packed path must overwrite fully
@@ -95,9 +88,9 @@ func CheckScenario(t T, s core.Scenario, cfg Config) *Failure[ScenarioDraw] {
 		method, float := "SampleBatch", "Sample"
 		if d.Class == s.Classes() {
 			method, float = "RandomBatch", "RandomSample"
-			bs.RandomBatch(rb, packed)
+			s.RandomBatch(rb, packed)
 		} else {
-			bs.SampleBatch(rb, d.Class, packed)
+			s.SampleBatch(rb, d.Class, packed)
 		}
 		bits.PackFloats(want, vec)
 		for i := range packed {

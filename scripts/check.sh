@@ -19,8 +19,10 @@
 #   - a benchmark smoke (one iteration of the training-engine
 #     benchmarks) so BenchmarkFit cannot silently rot between full
 #     `make bench` runs, skippable with CHECK_BENCH=0;
-#   - a coverage gate on internal/core and internal/nn that fails if
-#     statement coverage drops below the recorded baselines.
+#   - a coverage gate with a statement-coverage floor for each of ten
+#     packages (internal/core, prng, nn, serve, metrics, cluster,
+#     ledger, simon, simeck and chaskey; see check_cover below) that
+#     fails if coverage drops below the recorded baseline.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -56,6 +58,8 @@ if [[ "${CHECK_FUZZ:-1}" != "0" ]]; then
       "./internal/core FuzzSimeckEncrypt" \
       "./internal/core FuzzChaskeyPermute" \
       "./internal/core FuzzGift64Encrypt" \
+      "./internal/serve FuzzClassifyRequest" \
+      "./internal/serve FuzzDistinguishRequest" \
       "./internal/ledger FuzzLedgerVerify"; do
     set -- $target
     echo "fuzz smoke: $1 $2 (${FUZZ_SECONDS}s)"
