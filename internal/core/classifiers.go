@@ -61,21 +61,20 @@ func NewTable3Classifier(arch string, featureLen int, seed uint64) (*NNClassifie
 func (c *NNClassifier) Name() string { return fmt.Sprintf("nn(%d params)", c.Net.ParamCount()) }
 
 // Fit trains the network on the labelled samples.
-func (c *NNClassifier) Fit(x [][]float64, y []int) error { return c.fit(nn.FromRows(x), y) }
-
-// FitDataset trains the network straight from the packed backing
-// store: each row is expanded into the input matrix with SetRowBits,
-// which produces the same float values as the Rows() view, so fitted
-// weights are byte-identical to Fit on that view.
-func (c *NNClassifier) FitDataset(d *Dataset) error {
-	m := nn.NewMatrix(d.Len(), d.FeatureLen())
-	for i := 0; i < d.Len(); i++ {
-		m.SetRowBits(i, d.Packed(i))
-	}
-	return c.fit(m, d.Y)
+func (c *NNClassifier) Fit(x [][]float64, y []int) error {
+	_, err := c.Net.Fit(nn.FromRows(x), y, c.fitConfig())
+	return err
 }
 
-func (c *NNClassifier) fit(m *nn.Matrix, y []int) error {
+// FitDataset trains the network straight from the packed backing
+// store through nn.Network.FitBits, which never builds the float
+// matrix: fitted weights are byte-identical to Fit on the Rows() view.
+func (c *NNClassifier) FitDataset(d *Dataset) error {
+	_, err := c.Net.FitBits(d.PackedBits(), d.WordsPerRow(), d.Y, c.fitConfig())
+	return err
+}
+
+func (c *NNClassifier) fitConfig() nn.FitConfig {
 	epochs := c.Epochs
 	if epochs <= 0 {
 		epochs = 5
@@ -84,15 +83,14 @@ func (c *NNClassifier) fit(m *nn.Matrix, y []int) error {
 	if batch <= 0 {
 		batch = 128
 	}
-	_, err := c.Net.Fit(m, y, nn.FitConfig{
+	return nn.FitConfig{
 		Epochs:    epochs,
 		BatchSize: batch,
 		Optimizer: nn.NewAdam(c.LR),
 		Seed:      c.Seed,
 		OnEpoch:   c.OnEpoch,
 		Workers:   c.Workers,
-	})
-	return err
+	}
 }
 
 // Predict returns the network's argmax class.

@@ -206,8 +206,9 @@ func TestFitWithSchedule(t *testing.T) {
 // scheduleUnsupported is an optimizer without SetLR, for validation.
 type scheduleUnsupported struct{}
 
-func (scheduleUnsupported) Name() string    { return "fixed" }
-func (scheduleUnsupported) Step(p []*Param) {}
+func (scheduleUnsupported) Name() string                 { return "fixed" }
+func (scheduleUnsupported) beginStep([]*Param)           {}
+func (scheduleUnsupported) update(int, *Param, int, int) {}
 
 func TestFitRejectsScheduleOnFixedOptimizer(t *testing.T) {
 	r := prng.New(8)

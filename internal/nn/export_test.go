@@ -8,7 +8,11 @@ package nn
 const FitShards = fitShards
 
 // ReduceGradTree exposes the fixed-order gradient tree reduction.
-func ReduceGradTree(grads [][][]float64) { reduceGradTree(grads) }
+func ReduceGradTree(grads [][][]float64) {
+	for pi := range grads[0] {
+		reduceGradRange(grads, pi, 0, len(grads[0][pi]))
+	}
+}
 
 // FitShardCount reports how many shards the last Fit call cut each
 // mini-batch into: FitShards, or 1 for a network trained as one

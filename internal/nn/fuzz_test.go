@@ -2,6 +2,7 @@ package nn
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"repro/internal/prng"
@@ -105,5 +106,78 @@ func FuzzPredictBits(f *testing.F) {
 		}
 		checkPredictBits(t, "fuzz", net, packed, rows, wpr)
 		forceScalarMul(func() { checkPredictBits(t, "fuzz scalar", net, packed, rows, wpr) })
+	})
+}
+
+// FuzzFitBits: for arbitrary MLP shapes, batch sizes (more than 64 rows
+// per shard, partial last batches) and packed rows with stray bits at
+// or beyond the input width, FitBits must train to the weights and
+// History that Fit reaches on the rows expanded with SetRowBits, byte
+// for byte, with the AVX2 kernels on and off.
+func FuzzFitBits(f *testing.F) {
+	f.Add(uint8(100), uint8(7), uint8(0), uint16(700), uint16(530), uint64(1))
+	f.Add(uint8(63), uint8(2), uint8(0x85), uint16(90), uint16(20), uint64(2))
+	f.Add(uint8(128), uint8(15), uint8(0x01), uint16(1100), uint16(1023), uint64(3))
+	f.Fuzz(func(t *testing.T, inRaw, hiddenRaw, actRaw uint8, nRaw, bsRaw uint16, seed uint64) {
+		in := int(inRaw)%200 + 1
+		hidden := int(hiddenRaw)%16 + 1
+		n := int(nRaw)%1200 + 1
+		bs := int(bsRaw)%n + 1
+		wpr := (in+63)/64 + int(actRaw>>7)
+		build := func() *Network {
+			r := prng.New(seed)
+			layers := []Layer{NewDense(in, hidden, r), NewActivation(ActKind(actRaw%4), hidden)}
+			if actRaw&4 != 0 {
+				layers = append(layers, NewDropout(0.25, hidden, seed))
+			}
+			net, err := NewNetwork(append(layers, NewDense(hidden, 2, r))...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return net
+		}
+		r := prng.New(seed ^ 0xb175)
+		packed := randPackedRows(r, n, wpr)
+		y := make([]int, n)
+		x := NewMatrix(n, in)
+		for i := range y {
+			y[i] = r.Intn(2)
+			x.SetRowBits(i, packed[i*wpr:(i+1)*wpr])
+		}
+		cfg := FitConfig{Epochs: 1, BatchSize: bs, Seed: seed, Workers: 3}
+		train := func(viaBits bool) []uint64 {
+			net := build()
+			var hist *History
+			var err error
+			if viaBits {
+				hist, err = net.FitBits(packed, wpr, y, cfg)
+			} else {
+				hist, err = net.Fit(x, y, cfg)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			var bits []uint64
+			for _, p := range net.Params() {
+				for _, w := range p.W {
+					bits = append(bits, math.Float64bits(w))
+				}
+			}
+			return append(bits, math.Float64bits(hist.Loss[0]), math.Float64bits(hist.Acc[0]))
+		}
+		want := train(false)
+		check := func(what string, viaBits bool) {
+			got := train(viaBits)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s: scalar %d = %x, Fit on expanded rows %x", what, i, got[i], want[i])
+				}
+			}
+		}
+		check("FitBits", true)
+		forceScalarMul(func() {
+			check("Fit scalar", false)
+			check("FitBits scalar", true)
+		})
 	})
 }

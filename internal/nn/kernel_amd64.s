@@ -189,3 +189,72 @@ tail4:
 done:
 	VZEROUPPER
 	RET
+
+// narrowAVX2 accumulates four lanes of a narrow (m < 4 column) product
+// for n steps t:
+//
+//	av = a[t·aStep + l·aLane]        (lane l = 0..3)
+//	s[j][l] += av ≠ 0 ? av·b[t·bStep + j] : −0      (j < m)
+//
+// The compare is unordered-not-equal, so a NaN av counts as nonzero,
+// and x + (−0) is x for every x: each lane is the zero-skip kernel's
+// chain — the same products in ascending t, one rounding each —
+// without a branch on the data. aLane, aStep and bStep count float64s;
+// n ≥ 1 and 1 ≤ m ≤ 3.
+//
+// func narrowAVX2(s *[3][4]float64, a *float64, aLane, aStep int, b *float64, bStep, m, n int)
+TEXT ·narrowAVX2(SB), NOSPLIT, $0-64
+	MOVQ s+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ aLane+16(FP), R8
+	MOVQ aStep+24(FP), R9
+	MOVQ b+32(FP), DX
+	MOVQ bStep+40(FP), R10
+	MOVQ m+48(FP), R12
+	MOVQ n+56(FP), CX
+	SHLQ $3, R8            // lane stride in bytes
+	LEAQ (R8)(R8*2), R11   // three lane strides
+	SHLQ $3, R9
+	SHLQ $3, R10
+	VMOVUPD (DI), Y0
+	VMOVUPD 32(DI), Y1
+	VMOVUPD 64(DI), Y2
+	VXORPD Y13, Y13, Y13   // +0, the compare operand
+	VPCMPEQQ Y14, Y14, Y14
+	VPSLLQ $63, Y14, Y14   // −0, the neutral term
+
+loop:
+	VMOVSD  (SI), X4
+	VMOVHPD (SI)(R8*1), X4, X4
+	VMOVSD  (SI)(R8*2), X5
+	VMOVHPD (SI)(R11*1), X5, X5
+	VINSERTF128 $1, X5, Y4, Y4
+	VCMPPD $4, Y13, Y4, Y5 // lanes with av ≠ 0 (NEQ_UQ)
+	VBROADCASTSD (DX), Y6
+	VMULPD  Y6, Y4, Y6
+	VBLENDVPD Y5, Y6, Y14, Y6
+	VADDPD  Y0, Y6, Y0
+	CMPQ R12, $2
+	JLT  next
+	VBROADCASTSD 8(DX), Y7
+	VMULPD  Y7, Y4, Y7
+	VBLENDVPD Y5, Y7, Y14, Y7
+	VADDPD  Y1, Y7, Y1
+	CMPQ R12, $3
+	JLT  next
+	VBROADCASTSD 16(DX), Y8
+	VMULPD  Y8, Y4, Y8
+	VBLENDVPD Y5, Y8, Y14, Y8
+	VADDPD  Y2, Y8, Y2
+
+next:
+	ADDQ R9, SI
+	ADDQ R10, DX
+	DECQ CX
+	JNZ  loop
+
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VZEROUPPER
+	RET

@@ -3,6 +3,7 @@ package nn
 import (
 	"fmt"
 	"math"
+	mathbits "math/bits"
 
 	"repro/internal/prng"
 )
@@ -58,6 +59,8 @@ type Dense struct {
 	// noDX marks the training replica of a network's first layer: its
 	// input gradient has no consumer, so Backward skips the dx product.
 	noDX bool
+	// colBits is backwardBits' per-feature sample-mask scratch.
+	colBits []uint64
 }
 
 // NewDense creates a Dense layer with Glorot-uniform weights drawn from
@@ -270,6 +273,17 @@ func reluBits(v float64) float64 {
 	return math.Float64frombits(b)
 }
 
+// reluGrad is g·actGrad(ReLU, v) without a branch on the data: the
+// factor is 1 when v > 0 — v's bits in [1, bits(+Inf)], the test
+// reluBits makes, here as the borrow of an unsigned subtraction — and
+// +0 otherwise, exactly actGrad's two values, so the product is the
+// same multiply and its bits match for every g and v, ±0, NaN and ±Inf
+// included.
+func reluGrad(g, v float64) float64 {
+	_, pos := mathbits.Sub64(math.Float64bits(v)-1, 0x7ff0000000000000, 0)
+	return g * math.Float64frombits(-pos&0x3ff0000000000000)
+}
+
 // actGrad returns dout/din given the pre-activation input v.
 func actGrad(kind ActKind, v float64) float64 {
 	switch kind {
@@ -324,8 +338,15 @@ func (a *Activation) Backward(grad *Matrix) *Matrix {
 		panic("nn: Activation.Backward before Forward(train=true)")
 	}
 	a.gout = ensureMatrix(a.gout, grad.Rows, grad.Cols)
+	out, x := a.gout.Data, a.x.Data[:len(grad.Data)]
+	if a.Kind == ReLU {
+		for i, g := range grad.Data {
+			out[i] = reluGrad(g, x[i])
+		}
+		return a.gout
+	}
 	for i, g := range grad.Data {
-		a.gout.Data[i] = g * actGrad(a.Kind, a.x.Data[i])
+		out[i] = g * actGrad(a.Kind, x[i])
 	}
 	return a.gout
 }

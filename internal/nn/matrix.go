@@ -111,16 +111,6 @@ func zeroFloats(v []float64) {
 	}
 }
 
-// addFloats accumulates src into dst elementwise. It is the primitive
-// the training engine's fixed-order gradient tree reduction is built
-// from: each element's accumulation chain is a function of the operand
-// order alone, never of goroutine scheduling.
-func addFloats(dst, src []float64) {
-	for i, v := range src {
-		dst[i] += v
-	}
-}
-
 // parallelRows runs fn over row ranges [lo, hi) on up to GOMAXPROCS
 // goroutines. Small matrices run inline to avoid scheduling overhead.
 func parallelRows(rows int, work int, fn func(lo, hi int)) {
@@ -215,9 +205,13 @@ func checkMulInto(out, a, b *Matrix) {
 // rounding per nonzero k, ascending), so the two paths are
 // bit-identical.
 func mulRange(out, a, b *Matrix, lo, hi int) {
-	if mulRangeAccel(out, a, b, lo, hi) {
-		return
+	if !mulRangeAccel(out, a, b, lo, hi) {
+		mulRangeScalar(out, a, b, lo, hi)
 	}
+}
+
+// mulRangeScalar is mulRange's scalar zero-skip reference kernel.
+func mulRangeScalar(out, a, b *Matrix, lo, hi int) {
 	for kb := 0; kb < a.Cols; kb += mulKBlock {
 		ke := kb + mulKBlock
 		if ke > a.Cols {
@@ -284,9 +278,14 @@ func checkMulTN(acc []float64, a, b *Matrix) {
 // order. Rows of the accumulator stay hot across the sweep and the
 // zero-skip on A entries keeps the 0/1 difference-bit inputs cheap.
 func mulTNAccRange(acc []float64, a, b *Matrix, lo, hi int) {
-	if mulTNAccRangeAccel(acc, a, b, lo, hi) {
-		return
+	if !mulTNAccRangeAccel(acc, a, b, lo, hi) {
+		mulTNAccRangeScalar(acc, a, b, lo, hi)
 	}
+}
+
+// mulTNAccRangeScalar is mulTNAccRange's scalar zero-skip reference
+// kernel.
+func mulTNAccRangeScalar(acc []float64, a, b *Matrix, lo, hi int) {
 	for n := 0; n < a.Rows; n++ {
 		arow := a.Data[n*a.Cols : (n+1)*a.Cols]
 		brow := b.Data[n*b.Cols : (n+1)*b.Cols]

@@ -477,3 +477,25 @@ func TestReluBitsMatchesBranch(t *testing.T) {
 		}
 	}
 }
+
+// TestReluGradMatchesActGrad: the branch-free ReLU backward must agree
+// bit for bit with g·actGrad(ReLU, v) for every pairing of special and
+// random values of g and v (±0, NaN, ±Inf, subnormals).
+func TestReluGradMatchesActGrad(t *testing.T) {
+	vals := []float64{0, math.Copysign(0, -1), 1, -1, math.Inf(1), math.Inf(-1), math.NaN(),
+		math.Float64frombits(0x7ff0000000000001), math.Float64frombits(0xfff0000000000001),
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, math.MaxFloat64, -math.MaxFloat64}
+	r := prng.New(5)
+	for i := 0; i < 200; i++ {
+		vals = append(vals, math.Float64frombits(r.Uint64()))
+	}
+	for _, g := range vals {
+		for _, v := range vals {
+			want := g * actGrad(ReLU, v)
+			if got := reluGrad(g, v); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("reluGrad(%x, %x) = %x, want %x", math.Float64bits(g), math.Float64bits(v),
+					math.Float64bits(got), math.Float64bits(want))
+			}
+		}
+	}
+}

@@ -362,57 +362,161 @@ func rowsOf(m *nn.Matrix, lo, hi int) [][]float64 {
 	return rows
 }
 
-// TestFitShardedSteadyStateAllocs: after the first Fit call has built
-// the engine and scratch, further Fit calls allocate only the
-// per-call bookkeeping (order slice, history, PRNG) — nothing per step.
-func TestFitShardedSteadyStateAllocs(t *testing.T) {
-	build := fitFactories[1].build // plain MLP, no dropout mask noise
-	net := build()
-	r := prng.New(8)
-	x, y := synthData(r, 256, 12)
-	// A persistent optimizer is part of the steady state: its moment
-	// slices are keyed by parameter identity and reused across calls.
-	cfg := nn.FitConfig{Epochs: 1, BatchSize: 32, Seed: 3, Workers: 1, Optimizer: nn.NewAdam(0)}
-	if _, err := net.Fit(x, y, cfg); err != nil {
+// packRows packs the {0,1} rows of x one word wider than they need,
+// with every bit at or beyond x.Cols set: FitBits must ignore them.
+func packRows(x *nn.Matrix) ([]uint64, int) {
+	wpr := x.Cols/64 + 1
+	packed := make([]uint64, x.Rows*wpr)
+	for i := 0; i < x.Rows; i++ {
+		for j := 0; j < wpr*64; j++ {
+			if j >= x.Cols || x.At(i, j) == 1 {
+				packed[i*wpr+j/64] |= 1 << (j % 64)
+			}
+		}
+	}
+	return packed, wpr
+}
+
+// TestFitBitsMatchesFit: for every sharded layer family — a Dense first
+// layer training from the bits, Conv1D and Residual first layers
+// reading SetRowBits-expanded shards — FitBits must reproduce Fit's
+// weights and History bit for bit at every worker count.
+func TestFitBitsMatchesFit(t *testing.T) {
+	for _, nf := range fitFactories {
+		t.Run(nf.name, func(t *testing.T) {
+			refNet, refHist := trainWith(t, nf.build, 1)
+			ref := paramBits(refNet)
+			x, y := synthData(prng.New(1234), 25, 12)
+			packed, wpr := packRows(x)
+			for _, w := range []int{1, 4, 7} {
+				net := nf.build()
+				hist, err := net.FitBits(packed, wpr, y, nn.FitConfig{Epochs: 3, BatchSize: 10, Seed: 99, Workers: w})
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := paramBits(net)
+				for i := range ref {
+					if got[i] != ref[i] {
+						t.Fatalf("workers=%d: param scalar %d = %x, Fit %x", w, i, got[i], ref[i])
+					}
+				}
+				for e := range refHist.Loss {
+					if hist.Loss[e] != refHist.Loss[e] || hist.Acc[e] != refHist.Acc[e] {
+						t.Fatalf("workers=%d: epoch %d history differs from Fit", w, e)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestFitBitsValidation: FitBits rejects malformed packed input with an
+// error, before training.
+func TestFitBitsValidation(t *testing.T) {
+	net, err := nn.MLP(65, []int{4}, 2, nn.ReLU, prng.New(1)) // two words per row
+	if err != nil {
 		t.Fatal(err)
 	}
-	steps := 8.0 // 256 rows / batch 32
-	allocs := testing.AllocsPerRun(5, func() {
-		if _, err := net.Fit(x, y, cfg); err != nil {
-			t.Fatal(err)
+	for _, c := range []struct {
+		name   string
+		packed []uint64
+		wpr    int
+		y      []int
+	}{
+		{"zero words per row", nil, 0, nil},
+		{"word count mismatch", make([]uint64, 5), 2, []int{0, 1, 0}},
+		{"rows narrower than the input", make([]uint64, 3), 1, []int{0, 1, 0}},
+		{"empty", nil, 2, nil},
+		{"label out of range", make([]uint64, 6), 2, []int{0, 2, 1}},
+	} {
+		if _, err := net.FitBits(c.packed, c.wpr, c.y, nn.FitConfig{Epochs: 1}); err == nil {
+			t.Errorf("%s: accepted", c.name)
 		}
-	})
-	// Per-call bookkeeping (shuffle order, History, PRNG) is allowed;
-	// nothing may allocate per training step.
-	if perStep := allocs / steps; perStep > 1 {
-		t.Fatalf("steady-state Fit allocated %.1f objects over %v steps (%.2f/step); want ≤ 1/step", allocs, steps, perStep)
+	}
+}
+
+// TestFitShardedSteadyStateAllocs: after the first Fit call has built
+// the engine and scratch, further Fit and FitBits calls allocate only
+// the per-call bookkeeping (order slice, history, PRNG, the worker
+// goroutines) — nothing per step — at every worker count. The per-step
+// figure is the difference between a two-epoch and a one-epoch call;
+// at one worker the whole call also fits the per-step bound.
+func TestFitShardedSteadyStateAllocs(t *testing.T) {
+	build := fitFactories[1].build // plain MLP, no dropout mask noise
+	r := prng.New(8)
+	x, y := synthData(r, 256, 12)
+	packed, wpr := packRows(x)
+	steps := 8.0 // 256 rows / batch 32
+	for _, w := range []int{1, 2, 4} {
+		for _, viaBits := range []bool{false, true} {
+			net := build()
+			// A persistent optimizer is part of the steady state: its
+			// moment slices are reused across calls on one network.
+			opt := nn.NewAdam(0)
+			fit := func(epochs int) func() {
+				cfg := nn.FitConfig{Epochs: epochs, BatchSize: 32, Seed: 3, Workers: w, Optimizer: opt}
+				return func() {
+					var err error
+					if viaBits {
+						_, err = net.FitBits(packed, wpr, y, cfg)
+					} else {
+						_, err = net.Fit(x, y, cfg)
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			fit(1)()
+			perCall := testing.AllocsPerRun(5, fit(1))
+			perStep := (testing.AllocsPerRun(5, fit(2)) - perCall) / steps
+			if perStep > 1 || (w == 1 && perCall/steps > 1) {
+				t.Errorf("workers=%d bits=%v: steady-state Fit allocated %.1f objects per one-epoch call, %.2f per extra step; want ≤ 1/step",
+					w, viaBits, perCall, perStep)
+			}
+		}
 	}
 }
 
 // BenchmarkFit measures one training epoch of the Table 3 Gimli MLP
 // shape (128-bit difference features) at serial and parallel worker
-// counts. Steady state reuses the cached engine, so allocs/op stays at
-// the per-call bookkeeping floor.
+// counts, from float rows (Fit) and from packed rows (FitBits, the
+// path core's FitDataset takes). Steady state reuses the cached
+// engine, so allocs/op stays at the per-call bookkeeping floor.
 func BenchmarkFit(b *testing.B) {
 	x, y := synthData(prng.New(3), 1024, 128)
-	for _, w := range []int{1, 4} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			r := prng.New(5)
-			net, err := nn.MLP(128, []int{128, 128}, 2, nn.ReLU, r)
-			if err != nil {
-				b.Fatal(err)
+	packed, wpr := packRows(x)
+	for _, viaBits := range []bool{false, true} {
+		for _, w := range []int{1, 4} {
+			name := fmt.Sprintf("workers=%d", w)
+			if viaBits {
+				name = fmt.Sprintf("bits-workers=%d", w)
 			}
-			cfg := nn.FitConfig{Epochs: 1, BatchSize: 128, Seed: 9, Workers: w, Optimizer: nn.NewAdam(0)}
-			if _, err := net.Fit(x, y, cfg); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := net.Fit(x, y, cfg); err != nil {
+			b.Run(name, func(b *testing.B) {
+				r := prng.New(5)
+				net, err := nn.MLP(128, []int{128, 128}, 2, nn.ReLU, r)
+				if err != nil {
 					b.Fatal(err)
 				}
-			}
-		})
+				cfg := nn.FitConfig{Epochs: 1, BatchSize: 128, Seed: 9, Workers: w, Optimizer: nn.NewAdam(0)}
+				fit := func() {
+					var err error
+					if viaBits {
+						_, err = net.FitBits(packed, wpr, y, cfg)
+					} else {
+						_, err = net.Fit(x, y, cfg)
+					}
+					if err != nil {
+						b.Fatal(err)
+					}
+				}
+				fit()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					fit()
+				}
+			})
+		}
 	}
 }

@@ -70,47 +70,104 @@ func (p *Predictor) forwardBits(packed []uint64, rows, wordsPerRow int) *Matrix 
 // row partition is invisible in the result.
 func (d *Dense) forwardBits(packed []uint64, rows, wordsPerRow int, relu bool) *Matrix {
 	d.out = ensureMatrix(d.out, rows, d.Out)
-	out := d.out
 	parallelRows(rows, rows*d.In*d.Out, func(lo, hi int) {
-		m := d.Out
-		w := d.w.W
-		for i := lo; i < hi; i++ {
-			orow := out.Data[i*m : (i+1)*m]
-			zeroFloats(orow)
-			k0 := -1 // a set bit waiting for its pair
-			for wi, word := range packed[i*wordsPerRow : (i+1)*wordsPerRow] {
-				base := wi * 64
-				if base >= d.In {
-					break
-				}
-				if d.In-base < 64 {
-					word &= 1<<uint(d.In-base) - 1
-				}
-				for ; word != 0; word &= word - 1 {
-					k := base + mathbits.TrailingZeros64(word)
-					if k0 < 0 {
-						k0 = k
-						continue
-					}
-					addRowPair(orow, w[k0*m:(k0+1)*m], w[k*m:(k+1)*m])
-					k0 = -1
-				}
+		d.forwardBitsRows(packed, wordsPerRow, lo, hi, relu)
+	})
+	return d.out
+}
+
+// forwardBitsTrain is forwardBits without ReLU on the calling
+// goroutine, for the training engine's first Dense replica: the
+// following Activation caches the pre-activation it needs for its
+// backward pass.
+func (d *Dense) forwardBitsTrain(packed []uint64, rows, wordsPerRow int) *Matrix {
+	d.out = ensureMatrix(d.out, rows, d.Out)
+	d.forwardBitsRows(packed, wordsPerRow, 0, rows, false)
+	return d.out
+}
+
+// forwardBitsRows computes rows [lo, hi) of forwardBits into d.out.
+func (d *Dense) forwardBitsRows(packed []uint64, wordsPerRow, lo, hi int, relu bool) {
+	m := d.Out
+	for i := lo; i < hi; i++ {
+		orow := d.out.Data[i*m : (i+1)*m]
+		zeroFloats(orow)
+		addSetRows(orow, d.w.W, packed[i*wordsPerRow:(i+1)*wordsPerRow], d.In)
+		if relu {
+			for j, bv := range d.b.W {
+				orow[j] = reluBits(orow[j] + bv)
 			}
-			if k0 >= 0 {
-				addRow(orow, w[k0*m:(k0+1)*m])
-			}
-			if relu {
-				for j, bv := range d.b.W {
-					orow[j] = reluBits(orow[j] + bv)
-				}
-			} else {
-				for j, bv := range d.b.W {
-					orow[j] += bv
-				}
+		} else {
+			for j, bv := range d.b.W {
+				orow[j] += bv
 			}
 		}
-	})
-	return out
+	}
+}
+
+// backwardBits accumulates the weight and bias gradients of a
+// forwardBitsTrain pass whose output gradient is g. Weight-gradient row
+// k is Σ g[n] over the shard's samples n with bit k set. The float path
+// (mulTNAcc over the {0,1} input) adds those rows in ascending n, one
+// exact 1·g[n] product and one rounding each; this transposes the
+// shard's bits into per-feature sample masks and adds the same rows in
+// the same order through addSetRows, so the gradient bytes match.
+func (d *Dense) backwardBits(packed []uint64, rows, wordsPerRow int, g *Matrix) {
+	nb := (rows + 63) / 64
+	if cap(d.colBits) < d.In*nb {
+		d.colBits = make([]uint64, d.In*nb)
+	}
+	cols := d.colBits[:d.In*nb]
+	clear(cols)
+	nw := (d.In + 63) / 64
+	for n := 0; n < rows; n++ {
+		blk, bit := n>>6, uint64(1)<<(n&63)
+		for wi, word := range packed[n*wordsPerRow : n*wordsPerRow+nw] {
+			for word = inputWord(word, wi, d.In); word != 0; word &= word - 1 {
+				k := wi*64 + mathbits.TrailingZeros64(word)
+				cols[k*nb+blk] |= bit
+			}
+		}
+	}
+	m := d.Out
+	for k := 0; k < d.In; k++ {
+		addSetRows(d.w.Grad[k*m:(k+1)*m], g.Data, cols[k*nb:(k+1)*nb], rows)
+	}
+	colSumsAcc(d.b.Grad, g)
+}
+
+// inputWord returns word wi of a packed row with the bits at or beyond
+// feature n cleared.
+func inputWord(word uint64, wi, n int) uint64 {
+	if r := n - wi*64; r < 64 {
+		word &= 1<<uint(r) - 1
+	}
+	return word
+}
+
+// addSetRows adds into o the rows src[k*len(o) : (k+1)*len(o)] for
+// every bit k < n set in the packed mask, in ascending k, two at a
+// time through addRowPair: the zero-skip kernels' chain for a {0,1}
+// operand. The forward pass uses it with a row's feature bits over the
+// weight rows, the weight gradient with a feature's sample mask over
+// the output-gradient rows.
+func addSetRows(o, src []float64, mask []uint64, n int) {
+	m := len(o)
+	k0 := -1 // a set bit waiting for its pair
+	for wi, word := range mask[:(n+63)/64] {
+		for word = inputWord(word, wi, n); word != 0; word &= word - 1 {
+			k := wi*64 + mathbits.TrailingZeros64(word)
+			if k0 < 0 {
+				k0 = k
+				continue
+			}
+			addRowPair(o, src[k0*m:(k0+1)*m], src[k*m:(k+1)*m])
+			k0 = -1
+		}
+	}
+	if k0 >= 0 {
+		addRow(o, src[k0*m:(k0+1)*m])
+	}
 }
 
 // addRowPair adds b0 and then b1 into o, one rounding each: the
