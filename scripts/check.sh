@@ -52,6 +52,7 @@ if [[ "${CHECK_FUZZ:-1}" != "0" ]]; then
       "./internal/nn FuzzLoadArbitraryBytes" \
       "./internal/nn FuzzSaveLoadRoundTrip" \
       "./internal/nn FuzzPredictBits" \
+      "./internal/nn FuzzFitBits" \
       "./internal/core FuzzLoadDistinguisher" \
       "./internal/core FuzzLoadDataset" \
       "./internal/core FuzzSimonEncrypt" \
