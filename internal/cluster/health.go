@@ -6,6 +6,8 @@ import (
 	"net/http"
 	"sync"
 	"time"
+
+	"repro/internal/serve"
 )
 
 // Start runs the router's maintenance loop: every ProbeInterval it
@@ -98,8 +100,7 @@ func (rt *Router) gossipAll() {
 // syncs both directions.
 func (rt *Router) handleGossip(w http.ResponseWriter, r *http.Request) {
 	var theirs map[string]ReplicaState
-	if err := json.NewDecoder(r.Body).Decode(&theirs); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid gossip body: %v", err)
+	if !serve.DecodeBody(w, r, &theirs) {
 		return
 	}
 	rt.mergeStates(theirs)

@@ -12,11 +12,8 @@ import (
 	"time"
 
 	"repro/internal/metrics"
+	"repro/internal/serve"
 )
-
-// maxBody bounds request bodies the router will buffer for routing and
-// retries (rows for one max-size batch fit comfortably).
-const maxBody = 16 << 20
 
 // Config shapes a Router. Zero values select the defaults documented
 // on each field.
@@ -221,26 +218,24 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 // the identical bytes — this is what keeps in-flight requests at zero
 // failures when a replica is killed: the successor already owns the
 // model (replication ≥ 2), so the retry lands on warm weights.
+// serve.RequestModel reads the model name without decoding the rows.
 func (rt *Router) handleForward(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
-	if err != nil {
-		writeError(w, http.StatusRequestEntityTooLarge, "reading body: %v", err)
+	body, ok := serve.ReadBody(w, r)
+	if !ok {
 		return
 	}
-	var peek struct {
-		Model string `json:"model"`
-	}
-	if err := json.Unmarshal(body, &peek); err != nil {
+	model, err := serve.RequestModel(body)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "invalid JSON body: %v", err)
 		return
 	}
-	if peek.Model == "" {
+	if model == "" {
 		writeError(w, http.StatusBadRequest, "model must be set")
 		return
 	}
-	owners := rt.owners(peek.Model)
+	owners := rt.owners(model)
 	if len(owners) == 0 {
-		writeError(w, http.StatusServiceUnavailable, "no alive replica owns model %q", peek.Model)
+		writeError(w, http.StatusServiceUnavailable, "no alive replica owns model %q", model)
 		return
 	}
 	for i, addr := range owners {
@@ -258,7 +253,7 @@ func (rt *Router) handleForward(w http.ResponseWriter, r *http.Request) {
 		copyResponse(w, resp, addr)
 		return
 	}
-	writeError(w, http.StatusServiceUnavailable, "all %d owner(s) of model %q unreachable", len(owners), peek.Model)
+	writeError(w, http.StatusServiceUnavailable, "all %d owner(s) of model %q unreachable", len(owners), model)
 }
 
 // copyResponse relays a replica response, stamping which replica
@@ -309,8 +304,7 @@ func (rt *Router) handleModelsLoad(w http.ResponseWriter, r *http.Request) {
 		Name string `json:"name"`
 		Path string `json:"path"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid JSON body: %v", err)
+	if !serve.DecodeBody(w, r, &req) {
 		return
 	}
 	if req.Name == "" || req.Path == "" {

@@ -3,7 +3,9 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -666,4 +668,45 @@ func BenchmarkRouterClassify(b *testing.B) {
 			}
 		}
 	})
+}
+
+// endlessSpaces is a request body of JSON whitespace that never ends.
+type endlessSpaces struct{}
+
+func (endlessSpaces) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = ' '
+	}
+	return len(p), nil
+}
+
+type failingBody struct{}
+
+func (failingBody) Read([]byte) (int, error) { return 0, errors.New("connection reset") }
+
+// TestRouterBodyBounds: every body the router reads is bounded by
+// serve.MaxBody (413 past it), a read that fails for another reason is
+// a 400, and a forwarded body with data after its JSON object is a 400
+// before any replica sees it.
+func TestRouterBodyBounds(t *testing.T) {
+	rt, _ := newCluster(t, 2, nil)
+	h := rt.Handler()
+	serveBody := func(path string, body io.Reader) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, body))
+		return rec
+	}
+	for _, path := range []string{"/v1/classify", "/v1/distinguish", "/models", "/cluster/gossip"} {
+		if rec := serveBody(path, endlessSpaces{}); rec.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("oversized body to %s = %d (%s), want 413", path, rec.Code, rec.Body)
+		}
+		if rec := serveBody(path, io.MultiReader(strings.NewReader("{"), failingBody{})); rec.Code != http.StatusBadRequest ||
+			!strings.Contains(rec.Body.String(), "connection reset") {
+			t.Errorf("failing body to %s = %d (%s), want 400", path, rec.Code, rec.Body)
+		}
+	}
+	rec := serveBody("/v1/classify", strings.NewReader(`{"model":"speck4","rows":[[0,1]]}garbage`))
+	if rec.Code != http.StatusBadRequest || len(rt.Routed.Snapshot()) != 0 {
+		t.Errorf("trailing data = %d (%s), routed %v; want 400, nothing routed", rec.Code, rec.Body, rt.Routed.Snapshot())
+	}
 }

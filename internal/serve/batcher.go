@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/bits"
 	"repro/internal/metrics"
 	"repro/internal/nn"
 )
@@ -30,7 +31,7 @@ type SchedulerConfig struct {
 	// request in a batch pays, at most, for throughput.
 	MaxDelay time.Duration
 	// Workers is the inference worker count (default 2). Each worker
-	// owns one scratch input matrix and one Predictor replica per
+	// owns one packed batch buffer and one Predictor replica per
 	// model, so the steady state performs no per-batch allocation.
 	Workers int
 	// QueueDepth bounds the submitted-but-unscheduled request count
@@ -54,14 +55,15 @@ func (c *SchedulerConfig) setDefaults() {
 	}
 }
 
-// task is one submitted classification request: rows for one model,
-// and a buffered reply channel so a worker can always complete it
-// without blocking, even if the submitter timed out and left.
+// task is one submitted classification request: packed rows for one
+// model, and a buffered reply channel so a worker can always complete
+// it without blocking, even if the submitter timed out and left.
 type task struct {
-	entry *Entry
-	rows  [][]float64
-	ctx   context.Context
-	out   chan taskResult
+	entry  *Entry
+	packed []uint64 // rows × bits.PackedWords(entry.FeatureLen()) words
+	rows   int
+	ctx    context.Context
+	out    chan taskResult
 }
 
 type taskResult struct {
@@ -138,19 +140,23 @@ func (s *Scheduler) QueueLen() int { return len(s.queue) }
 // MaxBatch reports the configured flush threshold.
 func (s *Scheduler) MaxBatch() int { return s.cfg.MaxBatch }
 
-// Submit enqueues rows for entry and blocks until a worker replies or
-// ctx is done. Rows must already be validated to entry.FeatureLen()
-// width. It returns ErrOverloaded when the queue is full and
-// ctx.Err() when the deadline expires first; the batch still executes
-// in that case, its result discarded.
-func (s *Scheduler) Submit(ctx context.Context, entry *Entry, rows [][]float64) ([]int, error) {
-	if len(rows) == 0 {
+// Submit enqueues a request of rows {0,1} feature rows for entry and
+// blocks until a worker replies or ctx is done. packed holds the rows
+// in the layout of bits.PackFloats, bits.PackedWords(entry.FeatureLen())
+// words each, already validated to that width; the caller must not
+// modify it afterwards, since a batch that outlives a deadline return
+// still reads it. Submit
+// returns ErrOverloaded when the queue is full and ctx.Err() when the
+// deadline expires first; the batch still executes in that case, its
+// result discarded.
+func (s *Scheduler) Submit(ctx context.Context, entry *Entry, packed []uint64, rows int) ([]int, error) {
+	if rows == 0 {
 		return nil, nil
 	}
-	if len(rows) > s.cfg.MaxBatch {
-		return nil, fmt.Errorf("serve: request has %d rows, max %d per request", len(rows), s.cfg.MaxBatch)
+	if rows > s.cfg.MaxBatch {
+		return nil, fmt.Errorf("serve: request has %d rows, max %d per request", rows, s.cfg.MaxBatch)
 	}
-	t := &task{entry: entry, rows: rows, ctx: ctx, out: make(chan taskResult, 1)}
+	t := &task{entry: entry, packed: packed, rows: rows, ctx: ctx, out: make(chan taskResult, 1)}
 
 	s.stopMu.RLock()
 	if s.stopping {
@@ -162,7 +168,7 @@ func (s *Scheduler) Submit(ctx context.Context, entry *Entry, rows [][]float64) 
 	case s.queue <- t:
 		s.stopMu.RUnlock()
 		s.ModelRequests.With(entry.Name).Inc()
-		s.ModelRows.With(entry.Name).Add(uint64(len(rows)))
+		s.ModelRows.With(entry.Name).Add(uint64(rows))
 	default:
 		s.inflight.Done()
 		s.stopMu.RUnlock()
@@ -208,7 +214,7 @@ func (s *Scheduler) dispatch() {
 			return
 		}
 		batch := []*task{t}
-		rows := len(t.rows)
+		rows := t.rows
 		if timer == nil {
 			timer = time.NewTimer(s.cfg.MaxDelay)
 		} else {
@@ -224,7 +230,7 @@ func (s *Scheduler) dispatch() {
 					break collect
 				}
 				batch = append(batch, t2)
-				rows += len(t2.rows)
+				rows += t2.rows
 			case <-timer.C:
 				break collect
 			}
@@ -244,33 +250,21 @@ func (s *Scheduler) dispatch() {
 }
 
 // inferState is one worker's per-model scratch: a Predictor replica
-// over the entry's network plus a reusable input matrix and output
-// slice, mirroring NNClassifier's zero-allocation prediction
-// discipline but private to the worker so workers never contend.
+// over the entry's network and a reusable output slice, mirroring
+// NNClassifier's zero-allocation prediction discipline but private to
+// the worker so workers never contend. The replica is rebuilt when a
+// hot reload swaps the entry's network.
 type inferState struct {
 	net  *nn.Network
 	pred *nn.Predictor
-	in   *nn.Matrix
 	out  []int
 }
 
-// ensure points the scratch matrix at an n×cols view, reusing its
-// backing array once the largest batch shape has been seen, and
-// rebuilds the Predictor replica when the entry's network was swapped
-// by a hot reload.
-func (st *inferState) ensure(net *nn.Network, n, cols int) *nn.Matrix {
-	if st.net != net {
-		st.net = net
-		st.pred = net.NewPredictor()
-		st.in = nil
-	}
-	if st.in == nil || cap(st.in.Data) < n*cols {
-		st.in = nn.NewMatrix(n, cols)
-	} else {
-		st.in.Rows, st.in.Cols = n, cols
-		st.in.Data = st.in.Data[:n*cols]
-	}
-	return st.in
+// workerScratch is one worker's state across batches: its per-model
+// Predictors and the buffer a group's packed rows are gathered into.
+type workerScratch struct {
+	models map[string]*inferState
+	words  []uint64
 }
 
 // worker executes batches: tasks are grouped by model entry in
@@ -280,7 +274,7 @@ func (st *inferState) ensure(net *nn.Network, n, cols int) *nn.Matrix {
 // without spending forward-pass work on them.
 func (s *Scheduler) worker() {
 	defer s.done.Done()
-	states := map[string]*inferState{}
+	ws := &workerScratch{models: map[string]*inferState{}}
 	var group []*task // scratch, reused across batches
 	for batch := range s.batches {
 		for len(batch) > 0 {
@@ -295,14 +289,14 @@ func (s *Scheduler) worker() {
 				}
 			}
 			batch = rest
-			s.runGroup(states, lead, group)
+			s.runGroup(ws, lead, group)
 		}
 	}
 }
 
 // runGroup executes one same-model group as a single batched forward
-// pass.
-func (s *Scheduler) runGroup(states map[string]*inferState, entry *Entry, group []*task) {
+// pass over the tasks' packed rows.
+func (s *Scheduler) runGroup(ws *workerScratch, entry *Entry, group []*task) {
 	live := group[:0]
 	rows := 0
 	for _, t := range group {
@@ -312,36 +306,35 @@ func (s *Scheduler) runGroup(states map[string]*inferState, entry *Entry, group 
 			continue
 		}
 		live = append(live, t)
-		rows += len(t.rows)
+		rows += t.rows
 	}
 	if rows == 0 {
 		return
 	}
-	st := states[entry.Name]
+	st := ws.models[entry.Name]
 	if st == nil {
 		st = &inferState{}
-		states[entry.Name] = st
+		ws.models[entry.Name] = st
 	}
-	cols := entry.FeatureLen()
-	in := st.ensure(entry.net, rows, cols)
-	i := 0
+	if st.net != entry.net {
+		st.net = entry.net
+		st.pred = entry.net.NewPredictor()
+	}
+	wpr := bits.PackedWords(entry.FeatureLen())
+	ws.words = ws.words[:0]
 	for _, t := range live {
-		for _, r := range t.rows {
-			copy(in.Data[i*cols:(i+1)*cols], r)
-			i++
-		}
+		ws.words = append(ws.words, t.packed[:t.rows*wpr]...)
 	}
-	st.out = st.pred.PredictInto(st.out, in)
+	st.out = st.pred.PredictBitsInto(st.out, ws.words, rows, wpr)
 	classes := st.out
 	s.Batches.Inc()
 	s.BatchSizes.Observe(uint64(rows))
 	s.ModelBatches.With(entry.Name).Inc()
 	off := 0
 	for _, t := range live {
-		n := len(t.rows)
-		out := make([]int, n)
-		copy(out, classes[off:off+n])
-		off += n
+		out := make([]int, t.rows)
+		copy(out, classes[off:off+t.rows])
+		off += t.rows
 		t.out <- taskResult{classes: out}
 		s.inflight.Done()
 	}

@@ -18,6 +18,20 @@ import (
 // accepts (bits.Hex of the little-endian packed bytes).
 func rowToHex(row []float64) string { return bits.Hex(bits.FloatsToBytes(row)) }
 
+// packRows packs equal-width {0,1} float rows into the word-aligned
+// layout Scheduler.Submit takes.
+func packRows(rows [][]float64) []uint64 {
+	if len(rows) == 0 {
+		return nil
+	}
+	wpr := bits.PackedWords(len(rows[0]))
+	packed := make([]uint64, len(rows)*wpr)
+	for i, row := range rows {
+		bits.PackFloats(packed[i*wpr:(i+1)*wpr], row)
+	}
+	return packed
+}
+
 // TestSchedulerCoalesces submits 8 single-row requests concurrently
 // with a generous MaxDelay: the scheduler must run them as one batch
 // of 8 rows, not 8 batches of 1 — the acceptance check that the
@@ -41,7 +55,7 @@ func TestSchedulerCoalesces(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			classes, err := srv.sched.Submit(context.Background(), entry, rows[i:i+1])
+			classes, err := srv.sched.Submit(context.Background(), entry, packRows(rows[i:i+1]), 1)
 			if err != nil {
 				errs[i] = err
 				return
@@ -94,7 +108,7 @@ func TestSchedulerGroupsByModel(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			classes, err := srv.sched.Submit(context.Background(), entries[i], rows[i:i+1])
+			classes, err := srv.sched.Submit(context.Background(), entries[i], packRows(rows[i:i+1]), 1)
 			if err != nil {
 				errs[i] = err
 				return
@@ -124,7 +138,7 @@ func TestSchedulerShedsWhenFull(t *testing.T) {
 	s := newScheduler(SchedulerConfig{QueueDepth: 2})
 	s.queue <- &task{}
 	s.queue <- &task{}
-	_, err := s.Submit(context.Background(), &Entry{}, [][]float64{{0}})
+	_, err := s.Submit(context.Background(), &Entry{}, packRows([][]float64{{0}}), 1)
 	if !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("Submit on full queue = %v, want ErrOverloaded", err)
 	}
@@ -135,11 +149,11 @@ func TestSchedulerShedsWhenFull(t *testing.T) {
 
 func TestSubmitValidation(t *testing.T) {
 	s := newScheduler(SchedulerConfig{MaxBatch: 4})
-	classes, err := s.Submit(context.Background(), &Entry{}, nil)
+	classes, err := s.Submit(context.Background(), &Entry{}, nil, 0)
 	if err != nil || classes != nil {
 		t.Fatalf("empty submit = %v/%v, want nil/nil", classes, err)
 	}
-	if _, err := s.Submit(context.Background(), &Entry{}, make([][]float64, 5)); err == nil {
+	if _, err := s.Submit(context.Background(), &Entry{}, packRows(make([][]float64, 5)), 5); err == nil {
 		t.Fatal("oversize submit accepted")
 	}
 }
@@ -161,13 +175,13 @@ func TestExpiredTasksSkipInference(t *testing.T) {
 
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := srv.sched.Submit(cancelled, entry, rows[:1]); !errors.Is(err, context.Canceled) {
+	if _, err := srv.sched.Submit(cancelled, entry, packRows(rows[:1]), 1); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled submit = %v, want context.Canceled", err)
 	}
-	if _, err := srv.sched.Submit(cancelled, entry, rows[1:]); !errors.Is(err, context.Canceled) {
+	if _, err := srv.sched.Submit(cancelled, entry, packRows(rows[1:]), 1); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled submit = %v, want context.Canceled", err)
 	}
-	classes, err := srv.sched.Submit(context.Background(), entry, rows[:1])
+	classes, err := srv.sched.Submit(context.Background(), entry, packRows(rows[:1]), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

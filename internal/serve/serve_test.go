@@ -400,7 +400,7 @@ func TestRequestValidation(t *testing.T) {
 		// The row cap applies before any hex row is decoded: these rows
 		// are all malformed, yet the answer is 413, not 400.
 		{"oversize hex", "/v1/classify", classifyRequest{Model: "speck4", Hex: make([]string, 33)}, http.StatusRequestEntityTooLarge, "33 rows"},
-		{"oversize body", "/v1/classify", strings.Repeat(" ", maxBody) + "{}", http.StatusRequestEntityTooLarge, ""},
+		{"oversize body", "/v1/classify", strings.Repeat(" ", MaxBody) + "{}", http.StatusRequestEntityTooLarge, ""},
 		{"non-bit value", "/v1/classify", classifyRequest{Model: "speck4", Rows: badBit}, http.StatusBadRequest, "row 1 column 5"},
 		{"label count", "/v1/distinguish", classifyRequest{Model: "speck4", Rows: rows, Labels: labels[:2]}, http.StatusBadRequest, ""},
 		{"label range", "/v1/distinguish", classifyRequest{Model: "speck4", Rows: rows, Labels: []int{0, 1, 2, 1}}, http.StatusBadRequest, ""},
@@ -627,7 +627,7 @@ func TestSchedulerStopDrains(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			classes, err := srv.sched.Submit(t.Context(), entry, rows)
+			classes, err := srv.sched.Submit(t.Context(), entry, packRows(rows), len(rows))
 			if err != nil {
 				if errors.Is(err, ErrStopped) {
 					results <- nil // shed at the drain boundary is a definitive answer
@@ -652,7 +652,7 @@ func TestSchedulerStopDrains(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := srv.sched.Submit(t.Context(), entry, rows); !errors.Is(err, ErrStopped) {
+	if _, err := srv.sched.Submit(t.Context(), entry, packRows(rows), len(rows)); !errors.Is(err, ErrStopped) {
 		t.Fatalf("Submit after Stop = %v, want ErrStopped", err)
 	}
 	srv.Close() // second Close is a no-op

@@ -9,7 +9,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/bits"
 	"repro/internal/ledger"
 	"repro/internal/metrics"
 	"repro/internal/stats"
@@ -151,22 +150,6 @@ func (s *Server) Close() { s.sched.Stop() }
 
 // --- request/response shapes ---
 
-// classifyRequest is the body of /v1/classify and /v1/distinguish.
-// Feature rows arrive either as float rows (JSON arrays of 0/1) or as
-// hex strings packing the feature bits in the repository's
-// little-endian bit order (bits.Hex of the feature bytes); exactly one
-// of the two must be set.
-type classifyRequest struct {
-	Model string      `json:"model"`
-	Rows  [][]float64 `json:"rows,omitempty"`
-	Hex   []string    `json:"hex,omitempty"`
-	// Labels (distinguish only): the class index each query was made
-	// with, cycling the scenario's t classes as in Algorithm 2.
-	Labels []int `json:"labels,omitempty"`
-	// Sigmas (distinguish only) is the decision threshold (default 3).
-	Sigmas float64 `json:"sigmas,omitempty"`
-}
-
 type classifyResponse struct {
 	Model   string `json:"model"`
 	Version int    `json:"version"`
@@ -201,95 +184,62 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, errorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
-// maxBody bounds the request bodies a replica decodes. It matches the
-// cluster router's buffering bound, so every body the router forwards
-// fits.
-const maxBody = 16 << 20
-
-// decodeBody decodes the JSON request body into v, reading at most
-// maxBody bytes. On error it writes 413 for an oversized body or 400
-// for malformed JSON and returns false.
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody)).Decode(v)
-	if err == nil {
-		return true
+// DecodeBody decodes r's JSON body into v, reading at most MaxBody
+// bytes. On error it writes 413 for an oversized body or 400 for
+// malformed JSON and returns false.
+func DecodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBody)).Decode(v)
+	if err != nil {
+		writeBodyError(w, err)
 	}
+	return err == nil
+}
+
+// writeBodyError answers a body that could not be read or decoded: 413
+// when it ran past MaxBody, 400 otherwise.
+func writeBodyError(w http.ResponseWriter, err error) {
 	var tooLarge *http.MaxBytesError
 	if errors.As(err, &tooLarge) {
-		writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", maxBody)
+		writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", MaxBody)
 	} else {
-		writeError(w, http.StatusBadRequest, "invalid JSON body: %v", err)
+		writeError(w, http.StatusBadRequest, "invalid body: %v", err)
 	}
-	return false
 }
 
 // --- handlers ---
 
-// decodeRows parses and validates the request body, resolves the
-// model, and returns the feature rows at the model's width. On error
+// decodeRequest reads and scans the request body, resolves the model,
+// and returns the packed feature rows at the model's width. On error
 // it writes the response itself and returns ok=false.
-func (s *Server) decodeRows(w http.ResponseWriter, r *http.Request) (*Entry, *classifyRequest, [][]float64, bool) {
-	var req classifyRequest
-	if !decodeBody(w, r, &req) {
-		return nil, nil, nil, false
-	}
-	entry, ok := s.reg.Get(req.Model)
+func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (*Entry, *request, *rowSet, bool) {
+	body, ok := ReadBody(w, r)
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown model %q (GET /models lists loaded models)", req.Model)
 		return nil, nil, nil, false
 	}
-	if (len(req.Rows) == 0) == (len(req.Hex) == 0) {
-		writeError(w, http.StatusBadRequest, "exactly one of rows or hex must be non-empty")
+	req, err := scanRequest(body, s.sched.MaxBatch())
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "invalid JSON body: %v", err)
 		return nil, nil, nil, false
 	}
-	// Cap the batch before any row is validated or expanded.
-	if n := max(len(req.Rows), len(req.Hex)); n > s.sched.MaxBatch() {
-		writeError(w, http.StatusRequestEntityTooLarge, "request has %d rows, max %d per request (split the batch)",
-			n, s.sched.MaxBatch())
+	entry, ok := s.reg.Get(req.model)
+	if !ok {
+		writeError(w, http.StatusNotFound, "unknown model %q (GET /models lists loaded models)", req.model)
 		return nil, nil, nil, false
 	}
-	featLen := entry.FeatureLen()
-	rows := req.Rows
-	if len(req.Hex) > 0 {
-		rows = make([][]float64, len(req.Hex))
-		wantBytes := (featLen + 7) / 8
-		for i, h := range req.Hex {
-			b, err := bits.FromHex(h)
-			if err != nil {
-				writeError(w, http.StatusBadRequest, "hex row %d: %v", i, err)
-				return nil, nil, nil, false
-			}
-			if len(b) != wantBytes {
-				writeError(w, http.StatusBadRequest, "hex row %d has %d bytes, want %d (%d feature bits)",
-					i, len(b), wantBytes, featLen)
-				return nil, nil, nil, false
-			}
-			rows[i] = bits.ToFloats(make([]float64, 0, len(b)*8), b)[:featLen]
-		}
-	} else {
-		for i, row := range rows {
-			if len(row) != featLen {
-				writeError(w, http.StatusBadRequest, "row %d has %d features, model %q wants %d",
-					i, len(row), req.Model, featLen)
-				return nil, nil, nil, false
-			}
-			for j, v := range row {
-				if v != 0 && v != 1 {
-					writeError(w, http.StatusBadRequest, "row %d column %d: value %v is not a bit (0 or 1)", i, j, v)
-					return nil, nil, nil, false
-				}
-			}
-		}
+	rs, code, err := req.resolve(entry, s.sched.MaxBatch())
+	if err != nil {
+		writeError(w, code, "%v", err)
+		return nil, nil, nil, false
 	}
-	return entry, &req, rows, true
+	return entry, req, rs, true
 }
 
-// submit routes rows through the scheduler and maps the failure modes
-// onto HTTP codes. On error it writes the response itself.
-func (s *Server) submit(w http.ResponseWriter, r *http.Request, entry *Entry, rows [][]float64) ([]int, bool) {
+// submit routes packed rows through the scheduler and maps the failure
+// modes onto HTTP codes. On error it writes the response itself.
+func (s *Server) submit(w http.ResponseWriter, r *http.Request, entry *Entry, packed []uint64, rows int) ([]int, bool) {
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 	defer cancel()
-	classes, err := s.sched.Submit(ctx, entry, rows)
+	classes, err := s.sched.Submit(ctx, entry, packed, rows)
 	switch {
 	case err == nil:
 		return classes, true
@@ -312,11 +262,11 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, entry *Entry, ro
 func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	s.requests["classify"].Inc()
 	started := time.Now()
-	entry, _, rows, ok := s.decodeRows(w, r)
+	entry, _, rs, ok := s.decodeRequest(w, r)
 	if !ok {
 		return
 	}
-	classes, ok := s.submit(w, r, entry, rows)
+	classes, ok := s.submit(w, r, entry, rs.packed, rs.n)
 	if !ok {
 		return
 	}
@@ -336,31 +286,36 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleDistinguish(w http.ResponseWriter, r *http.Request) {
 	s.requests["distinguish"].Inc()
 	started := time.Now()
-	entry, req, rows, ok := s.decodeRows(w, r)
+	entry, req, rs, ok := s.decodeRequest(w, r)
 	if !ok {
 		return
 	}
-	if len(req.Labels) != len(rows) {
-		writeError(w, http.StatusBadRequest, "%d labels for %d rows", len(req.Labels), len(rows))
+	rows := rs.n
+	if req.nLabels != rows {
+		writeError(w, http.StatusBadRequest, "%d labels for %d rows", req.nLabels, rows)
+		return
+	}
+	if req.nullAt >= 0 {
+		writeError(w, http.StatusBadRequest, "label %d is null, not a class index", req.nullAt)
 		return
 	}
 	t := entry.Classes()
-	for i, l := range req.Labels {
+	for i, l := range req.labels {
 		if l < 0 || l >= t {
 			writeError(w, http.StatusBadRequest, "label %d is %d, model %q has %d classes", i, l, entry.Name, t)
 			return
 		}
 	}
-	sigmas := req.Sigmas
+	sigmas := req.sigmas
 	if sigmas <= 0 {
 		sigmas = 3
 	}
-	classes, ok := s.submit(w, r, entry, rows)
+	classes, ok := s.submit(w, r, entry, rs.packed, rows)
 	if !ok {
 		return
 	}
-	aPrime := stats.Accuracy(classes, req.Labels)
-	verdict, err := stats.Decide(entry.Dist.Accuracy, t, aPrime, len(rows), sigmas)
+	aPrime := stats.Accuracy(classes, req.labels)
+	verdict, err := stats.Decide(entry.Dist.Accuracy, t, aPrime, rows, sigmas)
 	if err != nil {
 		writeError(w, http.StatusUnprocessableEntity, "%v", err)
 		return
@@ -374,7 +329,7 @@ func (s *Server) handleDistinguish(w http.ResponseWriter, r *http.Request) {
 			Scenario:        entry.Dist.Scenario.Name(),
 			Accuracy:        aPrime,
 			OfflineAccuracy: entry.Dist.Accuracy,
-			Queries:         len(rows),
+			Queries:         rows,
 			Verdict:         verdict.String(),
 			Sigmas:          sigmas,
 		})
@@ -389,7 +344,7 @@ func (s *Server) handleDistinguish(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, distinguishResponse{
 		Model:           entry.Name,
 		Version:         entry.Version,
-		Queries:         len(rows),
+		Queries:         rows,
 		Accuracy:        aPrime,
 		OfflineAccuracy: entry.Dist.Accuracy,
 		Verdict:         verdict.String(),
@@ -477,7 +432,7 @@ func (s *Server) handleModelsLoad(w http.ResponseWriter, r *http.Request) {
 		Name string `json:"name"`
 		Path string `json:"path"`
 	}
-	if !decodeBody(w, r, &req) {
+	if !DecodeBody(w, r, &req) {
 		return
 	}
 	if req.Name == "" || req.Path == "" {

@@ -65,14 +65,15 @@ trap 'rm -f "$TMP"' EXIT
 # internal/chaskey + internal/gift: the scalar and interleaved cipher
 # kernels behind the packed dataset fast path.
 # internal/serve: the full HTTP classify path through the
-# micro-batching scheduler (BenchmarkServeClassify).
+# micro-batching scheduler (BenchmarkServeClassify), and the request
+# scanner alone on e2ebench-shaped bodies (BenchmarkDecodeRequest).
 # internal/ledger: audit-record append throughput (BenchmarkLedgerAppend).
 # internal/cluster: the routed classify path — router handler, HTTP hop
 # to a replica, micro-batched inference (BenchmarkRouterClassify).
 go test . ./internal/nn/ ./internal/gimli/ ./internal/speck/ ./internal/simon/ \
     ./internal/simeck/ ./internal/chaskey/ ./internal/gift/ ./internal/serve/ \
     ./internal/ledger/ ./internal/cluster/ -run '^$' \
-    -bench 'Fit|GenerateDataset|PredictBatch|OracleGameOnline|MatMul|Mul128|PermuteRounds|SpeckEncrypt|SimonEncrypt|SimeckEncrypt|ChaskeyPermute|Gift64Encrypt|ServeClassify|LedgerAppend|RouterClassify' \
+    -bench 'Fit|GenerateDataset|PredictBatch|OracleGameOnline|MatMul|Mul128|PermuteRounds|SpeckEncrypt|SimonEncrypt|SimeckEncrypt|ChaskeyPermute|Gift64Encrypt|ServeClassify|DecodeRequest|LedgerAppend|RouterClassify' \
     -benchtime "$BENCHTIME" -benchmem -count "$COUNT" | tee "$TMP"
 
 # Scaling pass: the sharded hot paths again at GOMAXPROCS>1.

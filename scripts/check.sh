@@ -61,6 +61,7 @@ if [[ "${CHECK_FUZZ:-1}" != "0" ]]; then
       "./internal/core FuzzGift64Encrypt" \
       "./internal/serve FuzzClassifyRequest" \
       "./internal/serve FuzzDistinguishRequest" \
+      "./internal/serve FuzzRequestModel" \
       "./internal/ledger FuzzLedgerVerify"; do
     set -- $target
     echo "fuzz smoke: $1 $2 (${FUZZ_SECONDS}s)"
@@ -86,6 +87,7 @@ if [[ "${CHECK_BENCH:-1}" != "0" ]]; then
       -bench 'SimonEncrypt|SimeckEncrypt|ChaskeyPermute|Gift64Encrypt' -benchtime 1x
   go test ./internal/ledger/ ./internal/cluster/ -run '^$' \
       -bench 'LedgerAppend|RouterClassify' -benchtime 1x
+  go test ./internal/serve/ -run '^$' -bench 'DecodeRequest' -benchtime 1x
   mapfile -t SNAPS < <(ls BENCH_*.json 2>/dev/null | sort | tail -2)
   if [[ "${#SNAPS[@]}" -eq 2 ]]; then
     # Allocation counts of the steady-state kernels are deterministic
